@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .words import ONE, P1, P2, Word, concat, is_left_multiple
+from .words import ONE, P1, P2, Word, is_left_multiple
 from .tmagma import Tree, leaf_listing
 
 
@@ -70,10 +70,10 @@ def term_mul(s: BranchTerm, t: BranchTerm) -> BranchTerm | None:
     v, w, x, y = s.starred, s.plain, t.starred, t.plain
     if is_left_multiple(x, w):  # x = x0·w, leaving x0* on the starred side
         x0 = Word(x.syms[: len(x.syms) - len(w.syms)])
-        return BranchTerm(concat(x0, v), y)
+        return BranchTerm(x0 * v, y)
     if is_left_multiple(w, x):  # w = w0·x, leaving w0 on the plain side
         w0 = Word(w.syms[: len(w.syms) - len(x.syms)])
-        return BranchTerm(v, concat(w0, y))
+        return BranchTerm(v, w0 * y)
     return None
 
 
@@ -98,8 +98,8 @@ def sigma_S(x: BranchSet, y: BranchSet) -> BranchSet:
     Left multiplication by a starred generator appends that generator to
     the starred word under the path-word storage convention.
     """
-    left = (BranchTerm(concat(t.starred, P1), t.plain) for t in x.terms)
-    right = (BranchTerm(concat(t.starred, P2), t.plain) for t in y.terms)
+    left = (BranchTerm(t.starred * P1, t.plain) for t in x.terms)
+    right = (BranchTerm(t.starred * P2, t.plain) for t in y.terms)
     return BranchSet(frozenset(left) | frozenset(right))
 
 

@@ -74,6 +74,11 @@ class _Token(NamedTuple):
     pos: int
 
 
+_PUNCTUATION = {
+    "S": "SIGMA", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "*": "STAR", "^": "CARET",
+}
+
+
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -82,23 +87,8 @@ def _lex(text: str) -> list[_Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch == "S":
-            tokens.append(_Token("SIGMA", "S", i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", "(", i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ")", i))
-            i += 1
-        elif ch == ",":
-            tokens.append(_Token("COMMA", ",", i))
-            i += 1
-        elif ch == "*":
-            tokens.append(_Token("STAR", "*", i))
-            i += 1
-        elif ch == "^":
-            tokens.append(_Token("CARET", "^", i))
+        elif ch in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[ch], ch, i))
             i += 1
         elif ch == "p":
             start = i
@@ -210,44 +200,44 @@ def parse(text: str) -> TermExpr:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def eval_expr(e: TermExpr, mode: str) -> Tree | UElem:
+    """Evaluate in the tree monoid ("T") or the quotient monoid ("U")."""
+    # Looked up on every call, not bound once at import, so that a caller
+    # that replaces these module attributes (a tracer, say) sees every call.
+    if mode == "T":
+        leaf, pair, product, pow_ = Leaf, sigma, mul, power
+    elif mode == "U":
+        leaf, pair, product, pow_ = from_word, sigma_U, mul_U, power_U
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    def ev(x: TermExpr):
+        if isinstance(x, WordLit):
+            return leaf(x.word)
+        if isinstance(x, SigmaApp):
+            return pair(ev(x.left), ev(x.right))
+        if isinstance(x, Product):
+            return product(ev(x.left), ev(x.right))
+        return pow_(ev(x.base), x.exponent)
+
+    return ev(e)
+
+
 def eval_t(e: TermExpr) -> Tree:
     """Evaluate without reduction."""
-    if isinstance(e, WordLit):
-        return Leaf(e.word)
-    if isinstance(e, SigmaApp):
-        return sigma(eval_t(e.left), eval_t(e.right))
-    if isinstance(e, Product):
-        return mul(eval_t(e.left), eval_t(e.right))
-    return power(eval_t(e.base), e.exponent)
+    return eval_expr(e, "T")
 
 
 def eval_u(e: TermExpr) -> UElem:
     """Evaluate, reducing after every operation."""
-    if isinstance(e, WordLit):
-        return from_word(e.word)
-    if isinstance(e, SigmaApp):
-        return sigma_U(eval_u(e.left), eval_u(e.right))
-    if isinstance(e, Product):
-        return mul_U(eval_u(e.left), eval_u(e.right))
-    return power_U(eval_u(e.base), e.exponent)
-
-
-def eval_expr(e: TermExpr, mode: str) -> Tree | UElem:
-    if mode == "T":
-        return eval_t(e)
-    if mode == "U":
-        return eval_u(e)
-    raise ValueError(f"unknown mode {mode!r}")
+    return eval_expr(e, "U")
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
 def _format_word(w: Word, pi: bool) -> str:
-    if not w.syms:
-        return "1"
-    prefix = "π" if pi else "p"
-    return "".join(f"{prefix}{s}" for s in w.syms)
+    return str(w).replace("p", "π") if pi else str(w)
 
 
 def render_sexpr(t: Tree) -> str:
@@ -330,7 +320,7 @@ def _finite_monoid_from_json(data: object) -> FiniteMonoid:
     if len(set(elements)) != len(elements):
         raise ValueError('"elements" must be distinct')
     index = {label: i for i, label in enumerate(elements)}
-    if identity not in index:
+    if not isinstance(identity, str) or identity not in index:
         raise ValueError('"identity" must be one of the elements')
     n = len(elements)
     if not isinstance(table, list) or len(table) != n:
@@ -340,7 +330,7 @@ def _finite_monoid_from_json(data: object) -> FiniteMonoid:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"table row {i} must have {n} entries")
         for x in row:
-            if x not in index:
+            if not isinstance(x, str) or x not in index:
                 raise ValueError(f"table row {i} has unknown label {x!r}")
         rows.append(tuple(index[x] for x in row))
     return FiniteMonoid(tuple(elements), index[identity], tuple(rows))
@@ -443,18 +433,14 @@ def _cmd_classify_colors(args: argparse.Namespace) -> int:
 def _cmd_gen_units(args: argparse.Namespace) -> int:
     from itertools import permutations
 
-    found: set[str] = set()
-    units: list[tuple[int, str]] = []
+    units: set[tuple[int, str]] = set()
     for d in range(1, args.depth + 1):
         for shape in all_shapes(d):
             for perm in permutations(range(1, d + 1)):
                 image = perm_hom(shape, perm)
                 if image.degree > args.max_degree:
                     continue
-                text = render_sexpr(image.tree)
-                if text not in found:
-                    found.add(text)
-                    units.append((image.degree, text))
+                units.add((image.degree, render_sexpr(image.tree)))
     for _, text in sorted(units):
         print(text)
     return 0

@@ -1,14 +1,14 @@
 """d-fold product structures built from tree shapes, and finite-monoid embeddings.
 
-A bare binary tree shape with d leaves induces a d-fold product structure
-on the quotient monoid: the i-th distinguished element is the path word of
-the i-th leaf, and the d-ary pairing nests the binary pairing along the
-shape.  Shapes can be grafted into one another to combine structures.
-Substituting distinguished elements along a self-map of {1..d} gives an
-injective antihomomorphism from the full transformation monoid, which
-restricts (via inversion) to an injective homomorphism on permutations;
-chaining it with the right regular antirepresentation embeds any finite
-monoid.
+A shape is a tree whose leaf colors are ignored.  A shape with d leaves
+induces a d-fold product structure on the quotient monoid: the i-th
+distinguished element is the path word of the i-th leaf, and the d-ary
+pairing nests the binary pairing along the shape.  Shapes can be grafted
+into one another to combine structures.  Substituting distinguished
+elements along a self-map of {1..d} gives an injective antihomomorphism
+from the full transformation monoid, which restricts (via inversion) to an
+injective homomorphism on permutations; chaining it with the right regular
+antirepresentation embeds any finite monoid.
 """
 
 from __future__ import annotations
@@ -17,29 +17,15 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .words import Word
-from .ucp import UElem, from_word, mul_U, ONE_U, sigma_U
+from .tmagma import Leaf, Node, ONE_T, Tree, degree, leaf_listing
+from .ucp import UElem, from_word, mul_U, ONE_U, reduce
 
-
-@dataclass(frozen=True, slots=True)
-class ShapeLeaf:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class ShapeNode:
-    left: "Shape"
-    right: "Shape"
-
-
-Shape = ShapeLeaf | ShapeNode
-
-LEAF_SHAPE = ShapeLeaf()
-
-
-def leaf_count(s: Shape) -> int:
-    if isinstance(s, ShapeLeaf):
-        return 1
-    return leaf_count(s.left) + leaf_count(s.right)
+# A shape is an ordinary tree; these names keep the shape vocabulary.
+Shape = Tree
+ShapeLeaf = Leaf
+ShapeNode = Node
+LEAF_SHAPE = ONE_T
+leaf_count = degree
 
 
 def left_comb(d: int) -> Shape:
@@ -48,7 +34,7 @@ def left_comb(d: int) -> Shape:
         raise ValueError("a shape needs at least one leaf")
     shape: Shape = LEAF_SHAPE
     for _ in range(d - 1):
-        shape = ShapeNode(shape, LEAF_SHAPE)
+        shape = Node(shape, LEAF_SHAPE)
     return shape
 
 
@@ -62,40 +48,37 @@ def all_shapes(d: int) -> Iterator[Shape]:
     for k in range(1, d):
         for left in all_shapes(k):
             for right in all_shapes(d - k):
-                yield ShapeNode(left, right)
+                yield Node(left, right)
 
 
 def shape_taus(s: Shape) -> list[Word]:
     """Distinguished elements: the path words of the leaves, left to right."""
-    out: list[Word] = []
+    return [entry.path for entry in leaf_listing(s)]
 
-    def walk(sh: Shape, dirs: tuple[int, ...]) -> None:
-        if isinstance(sh, ShapeLeaf):
-            out.append(Word(tuple(reversed(dirs))))
-        else:
-            walk(sh.left, dirs + (1,))
-            walk(sh.right, dirs + (2,))
 
-    walk(s, ())
-    return out
+def _graft(s: Shape, trees: Sequence[Tree], needs: str) -> Tree:
+    """Replace the i-th leaf of the shape with the i-th tree."""
+    d = degree(s)
+    if len(trees) != d:
+        raise ValueError(f"{needs.format(d)}, got {len(trees)}")
+    it = iter(trees)
+
+    def build(t: Tree) -> Tree:
+        if isinstance(t, Leaf):
+            return next(it)
+        return Node(build(t.left), build(t.right))
+
+    return build(s)
 
 
 def phi(s: Shape, ms: Sequence[UElem]) -> UElem:
-    """The d-ary pairing: nest the binary pairing along the shape."""
-    if len(ms) != leaf_count(s):
-        raise ValueError(
-            f"phi needs {leaf_count(s)} arguments for this shape, got {len(ms)}"
-        )
-    it = iter(ms)
+    """The d-ary pairing: nest the binary pairing along the shape.
 
-    def build(sh: Shape) -> UElem:
-        if isinstance(sh, ShapeLeaf):
-            return next(it)
-        left = build(sh.left)
-        right = build(sh.right)
-        return sigma_U(left, right)
-
-    return build(s)
+    Reducing once after grafting equals reducing at every pairing, because
+    reduced forms are unique.
+    """
+    trees = [m.tree for m in ms]
+    return reduce(_graft(s, trees, "phi needs {} arguments for this shape"))
 
 
 def combine(outer: Shape, inners: Sequence[Shape]) -> Shape:
@@ -104,18 +87,7 @@ def combine(outer: Shape, inners: Sequence[Shape]) -> Shape:
     The combined distinguished elements are the inner path words extended
     by the outer path word of the leaf they were grafted onto.
     """
-    if len(inners) != leaf_count(outer):
-        raise ValueError(
-            f"combine needs {leaf_count(outer)} inner shapes, got {len(inners)}"
-        )
-    it = iter(inners)
-
-    def build(sh: Shape) -> Shape:
-        if isinstance(sh, ShapeLeaf):
-            return next(it)
-        return ShapeNode(build(sh.left), build(sh.right))
-
-    return build(outer)
+    return _graft(outer, inners, "combine needs {} inner shapes")
 
 
 def _check_map(f: Sequence[int], d: int) -> None:
@@ -128,7 +100,7 @@ def endo_antihom(s: Shape, f: Sequence[int]) -> UElem:
 
     Injective, sends the identity map to 1, and reverses composition.
     """
-    d = leaf_count(s)
+    d = degree(s)
     _check_map(f, d)
     taus = shape_taus(s)
     return phi(s, [from_word(taus[v - 1]) for v in f])
@@ -139,7 +111,7 @@ def perm_hom(s: Shape, sigma: Sequence[int]) -> UElem:
 
     Multiplicative in the permutation, and every image is a unit.
     """
-    d = leaf_count(s)
+    d = degree(s)
     _check_map(sigma, d)
     if len(set(sigma)) != d:
         raise ValueError("perm_hom requires a bijection")

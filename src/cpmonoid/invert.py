@@ -22,7 +22,6 @@ from .words import (
     P2,
     Word,
     all_words,
-    concat,
     family_classify,
     family_left_cofinite,
     family_left_dependent,
@@ -70,14 +69,15 @@ def left_inverse(b: UElem) -> UElem | None:
     """
     entries = leaf_listing(b.tree)
     colors = [e.color for e in entries]
-    if not family_left_cofinite(colors):
-        return None
     max_len = max(len(c) for c in colors)
     for d in range(max_len + 1):
         if all(
             any(is_left_multiple(v, c) for c in colors) for v in all_words(d)
         ):
             break
+    else:
+        # Not covered at d = max_len: not left cofinite (see family_left_cofinite).
+        return None
 
     def color_at(v: Word) -> Word:
         best = None
@@ -87,7 +87,7 @@ def left_inverse(b: UElem) -> UElem | None:
                     best = e
         assert best is not None  # coverage at depth d guarantees a match
         y = Word(v.syms[: len(v.syms) - len(best.color)])
-        return concat(y, best.path)
+        return y * best.path
 
     return reduce(_complete_tree(d, color_at))
 
@@ -115,7 +115,8 @@ def right_inverse(a: UElem) -> UElem | None:
     then pairwise distinct), and builds a complete depth-d tree in which
     the leaf selected by each expanded color carries that leaf's path word
     from the expanded tree; unselected leaves are padded with the identity
-    color, which minimizes the degree after reduction.
+    color.  The result is a right inverse, not necessarily one of least
+    degree.
     """
     colors = leaf_colors(a.tree)
     if family_left_dependent(colors):

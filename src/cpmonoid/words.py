@@ -73,8 +73,7 @@ P1 = Word((G1,))
 P2 = Word((G2,))
 
 
-def concat(u: Word, v: Word) -> Word:
-    return Word(u.syms + v.syms)
+concat = Word.__mul__
 
 
 def is_left_multiple(y: Word, w: Word) -> bool:

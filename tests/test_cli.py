@@ -233,6 +233,14 @@ def test_cmd_embed_rejects_bad_tables(tmp_path, capsys):
     code, _, err = run_cli(capsys, "embed", str(bad_schema))
     assert code == 2 and "bad monoid file" in err
 
+    for name, identity, entry in (("list_identity", ["e"], "e"), ("list_entry", "e", ["e"])):
+        unhashable = tmp_path / f"{name}.json"
+        unhashable.write_text(
+            json.dumps({"elements": ["e"], "identity": identity, "table": [[entry]]})
+        )
+        code, _, err = run_cli(capsys, "embed", str(unhashable))
+        assert code == 2 and "bad monoid file" in err
+
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     code, _, err = run_cli(capsys, "embed", str(bad_json))
