@@ -3,10 +3,11 @@
 An element has a left inverse exactly when its family of leaf colors is
 left cofinite, and a right inverse exactly when the family is left
 independent; both verdicts are independent of the chosen representative.
-The constructions build the inverse as a complete binary tree whose leaf
-colors are read off from the element, then reduce it.  Units are the
-elements whose color family satisfies both conditions at once, and every
-pair (f, g) with f·g = 1 transports the pairing structure to a new one.
+An inverse is read off the suffix trie of the leaf colors, so its size is
+that of the trie rather than 2^d for the longest color length d.  Units
+are the elements whose color family satisfies both conditions at once,
+and every pair (f, g) with f·g = 1 transports the pairing structure to a
+new one.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .words import (
-    G1,
-    G2,
     ONE,
     P1,
     P2,
     Word,
     all_words,
-    family_classify,
     family_left_cofinite,
     family_left_dependent,
     is_left_multiple,
@@ -30,6 +28,7 @@ from .words import (
 from .tmagma import (
     LEFT,
     Leaf,
+    LeafEntry,
     Node,
     RIGHT,
     Tree,
@@ -47,13 +46,32 @@ def has_right_inverse(a: UElem) -> bool:
     return not family_left_dependent(leaf_colors(a.tree))
 
 
-def _complete_tree(depth, color_at) -> Tree:
-    """Complete binary tree of the given depth, coloring leaves by path word."""
+def _inverse_tree(entries: list[LeafEntry], depth: int) -> Tree:
+    """The inverse tree grown along the suffix trie of the leaf colors.
 
-    def build(dirs: tuple[int, ...]) -> Tree:
-        if len(dirs) == depth:
-            return Leaf(color_at(Word(tuple(reversed(dirs)))))
-        return Node(build(dirs + (LEFT,)), build(dirs + (RIGHT,)))
+    Keeps each distinct color c of length <= depth with the path word z of
+    its leftmost leaf.  The vertex at path word u is internal iff u is a
+    proper suffix of a kept color; otherwise it is a leaf colored x·z for
+    the longest kept color c with u = x·c, or 1 when no kept color ends u.
+    Expanding every leaf to the given depth yields the complete tree whose
+    leaf at path v = y·c (c longest) is colored y·z, so both reduce to the
+    same element, but this tree has one vertex per trie node, not 2^depth
+    leaves.
+    """
+    paths: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for e in entries:
+        if len(e.color) <= depth:
+            paths.setdefault(e.color.syms, e.path.syms)
+    inner = {c[k:] for c in paths for k in range(1, len(c) + 1)}
+
+    def build(u: tuple[int, ...]) -> Tree:
+        if u in inner:
+            return Node(build((LEFT,) + u), build((RIGHT,) + u))
+        for k in range(len(u) + 1):  # longest kept suffix first
+            z = paths.get(u[k:])
+            if z is not None:
+                return Leaf(Word(u[:k] + z))
+        return Leaf(ONE)
 
     return build(())
 
@@ -62,10 +80,11 @@ def left_inverse(b: UElem) -> UElem | None:
     """Construct some A with A·b = 1, or None when no left inverse exists.
 
     Uses the smallest depth d at which every length-d word has a leaf color
-    of b as suffix, then colors the leaf of a complete depth-d tree at path
-    v = y·x (x a leaf color, chosen longest, ties to the leftmost leaf) by
-    y·z, where z is the path word of that leaf in b.  Acting by y·z on b
-    then reproduces exactly v at that position of the product.
+    of b as suffix.  The leaf of A at path v = y·x (x a leaf color, chosen
+    longest, ties to the leftmost leaf) is colored y·z, where z is the path
+    word of that leaf in b; acting by y·z on b then reproduces exactly v at
+    that position of the product.  A is built as the color trie cut at
+    depth d, which reduces to the same element as the complete depth-d tree.
     """
     entries = leaf_listing(b.tree)
     colors = [e.color for e in entries]
@@ -78,67 +97,27 @@ def left_inverse(b: UElem) -> UElem | None:
     else:
         # Not covered at d = max_len: not left cofinite (see family_left_cofinite).
         return None
-
-    def color_at(v: Word) -> Word:
-        best = None
-        for e in entries:
-            if is_left_multiple(v, e.color):
-                if best is None or len(e.color) > len(best.color):
-                    best = e
-        assert best is not None  # coverage at depth d guarantees a match
-        y = Word(v.syms[: len(v.syms) - len(best.color)])
-        return y * best.path
-
-    return reduce(_complete_tree(d, color_at))
-
-
-def _expand_colors_to(t: Tree, length: int) -> Tree:
-    # Expansion moves only; every leaf ends up with a color of exactly the
-    # target length, so the result represents the same quotient element.
-    if isinstance(t, Node):
-        return Node(
-            _expand_colors_to(t.left, length), _expand_colors_to(t.right, length)
-        )
-    if len(t.color) == length:
-        return t
-    w = t.color.syms
-    return Node(
-        _expand_colors_to(Leaf(Word((G1,) + w)), length),
-        _expand_colors_to(Leaf(Word((G2,) + w)), length),
-    )
+    return reduce(_inverse_tree(entries, d))
 
 
 def right_inverse(a: UElem) -> UElem | None:
     """Construct some B with a·B = 1, or None when no right inverse exists.
 
-    Expands a until all leaf colors share the maximal length d (they are
-    then pairwise distinct), and builds a complete depth-d tree in which
-    the leaf selected by each expanded color carries that leaf's path word
-    from the expanded tree; unselected leaves are padded with the identity
-    color.  The result is a right inverse, not necessarily one of least
-    degree.
+    Left independent colors are pairwise suffix-free, so B is their trie:
+    its leaf at path c carries the path word of a's leaf colored c, and a
+    branch no color reaches is one identity leaf.  B is a right inverse,
+    not necessarily one of least degree.
     """
-    colors = leaf_colors(a.tree)
-    if family_left_dependent(colors):
+    entries = leaf_listing(a.tree)
+    if family_left_dependent([e.color for e in entries]):
         return None
-    d = max(len(c) for c in colors)
-    expanded = _expand_colors_to(a.tree, d)
-    table = {e.color: e.path for e in leaf_listing(expanded)}
-    return reduce(_complete_tree(d, lambda v: table.get(v, ONE)))
+    return reduce(_inverse_tree(entries, max(len(e.color) for e in entries)))
 
 
 def is_unit(a: UElem) -> bool:
     """Whether a is two-sided invertible: colors cofinite and independent."""
-    flags = family_classify(leaf_colors(a.tree))
-    direct = flags.cofinite and flags.independent
-    # The removal-based check is an equivalent characterization; a mismatch
-    # would mean a defect in the family analysis, not a property of a.
-    if direct != flags.minimally_cofinite or direct != flags.maximally_independent:
-        raise RuntimeError(
-            f"inconsistent unit characterizations for colors "
-            f"{[str(c) for c in leaf_colors(a.tree)]}: {flags}"
-        )
-    return direct
+    colors = leaf_colors(a.tree)
+    return not family_left_dependent(colors) and family_left_cofinite(colors)
 
 
 def unit_inverse(a: UElem) -> UElem:

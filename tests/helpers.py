@@ -3,7 +3,9 @@
 The inverse-search oracles here decide existence of an inverse by searching
 the full candidate space of trees with bounded degree and color length.
 They depend only on mul/act/reduce semantics, never on the leaf-color
-family analysis they are used to cross-check.
+family analysis they are used to cross-check.  The complete-tree inverse
+constructions at the end are the library's earlier inverse algorithms,
+kept to check the current ones against.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from cpmonoid.words import Word, words_up_to
+from cpmonoid.words import (
+    G1,
+    G2,
+    ONE,
+    Word,
+    all_words,
+    family_left_dependent,
+    is_left_multiple,
+    words_up_to,
+)
 from cpmonoid.tmagma import (
     LEFT,
     Leaf,
@@ -19,6 +30,7 @@ from cpmonoid.tmagma import (
     RIGHT,
     Tree,
     act,
+    leaf_colors,
     leaf_listing,
     mul,
 )
@@ -290,3 +302,80 @@ def oracle_unit(a: Tree, max_degree: int = 4, max_color_len: int = 3) -> bool:
     return oracle_left_invertible(a, max_degree, max_color_len) and (
         oracle_right_invertible(a, max_degree, max_color_len)
     )
+
+
+# ---------------------------------------------------------------------------
+# Complete-tree inverse constructions
+#
+# The inverse constructions as first written: a complete binary tree of the
+# covering depth, colored leaf by leaf from the element, then reduced.  They
+# build 2^d leaves and are kept only as oracles for the trie-shaped
+# constructions in cpmonoid.invert, which must give the same element for
+# left inverses and units.
+
+def _complete_tree(depth: int, color_at) -> Tree:
+    """Complete binary tree of the given depth, coloring leaves by path word."""
+
+    def build(dirs: tuple[int, ...]) -> Tree:
+        if len(dirs) == depth:
+            return Leaf(color_at(Word(tuple(reversed(dirs)))))
+        return Node(build(dirs + (LEFT,)), build(dirs + (RIGHT,)))
+
+    return build(())
+
+
+def left_inverse_complete(b: UElem) -> UElem | None:
+    """A with A·b = 1 from the complete tree of the smallest covering depth d.
+
+    The leaf at path v = y·x (x a leaf color of b, chosen longest, ties to
+    the leftmost leaf) is colored y·z, z the path word of that leaf in b.
+    """
+    entries = leaf_listing(b.tree)
+    colors = [e.color for e in entries]
+    for d in range(max(len(c) for c in colors) + 1):
+        if all(any(is_left_multiple(v, c) for c in colors) for v in all_words(d)):
+            break
+    else:
+        return None
+
+    def color_at(v: Word) -> Word:
+        best = None
+        for e in entries:
+            if is_left_multiple(v, e.color):
+                if best is None or len(e.color) > len(best.color):
+                    best = e
+        assert best is not None  # coverage at depth d guarantees a match
+        return Word(v.syms[: len(v) - len(best.color)]) * best.path
+
+    return reduce(_complete_tree(d, color_at))
+
+
+def _expand_colors_to(t: Tree, length: int) -> Tree:
+    # Expansion moves only; every leaf ends up with a color of exactly the
+    # target length, so the result represents the same quotient element.
+    if isinstance(t, Node):
+        return Node(
+            _expand_colors_to(t.left, length), _expand_colors_to(t.right, length)
+        )
+    if len(t.color) == length:
+        return t
+    syms = t.color.syms
+    return Node(
+        _expand_colors_to(Leaf(Word((G1,) + syms)), length),
+        _expand_colors_to(Leaf(Word((G2,) + syms)), length),
+    )
+
+
+def right_inverse_complete(a: UElem) -> UElem | None:
+    """B with a·B = 1 from the complete tree of the maximal color length d.
+
+    a is expanded until every color has length d (they are then pairwise
+    distinct); the leaf at path v carries the path word of the expanded
+    leaf colored v, and every other leaf the identity color.
+    """
+    colors = leaf_colors(a.tree)
+    if family_left_dependent(colors):
+        return None
+    d = max(len(c) for c in colors)
+    table = {e.color: e.path for e in leaf_listing(_expand_colors_to(a.tree, d))}
+    return reduce(_complete_tree(d, lambda v: table.get(v, ONE)))

@@ -1,6 +1,7 @@
 """Parser, renderers, and the command surface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from cpmonoid.cli import (
 from helpers import lf, random_tree, t, w
 
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -188,6 +190,8 @@ def test_cmd_inv(capsys):
     assert code == 1 and out == "" and "not a unit" in err
     code, out, _ = run_cli(capsys, "inv", "p2", "--side", "right")
     assert (code, out) == (0, "S(1,1)\n")
+    code, out, _ = run_cli(capsys, "inv", "p2p2", "--side", "right")
+    assert (code, out) == (0, "S(1,S(1,1))\n")
     code, _, err = run_cli(capsys, "inv", "S(1,1)", "--side", "right")
     assert code == 1 and "independent" in err
     code, out, _ = run_cli(capsys, "inv", "S(1,1)", "--side", "left")
@@ -280,8 +284,14 @@ def test_cmd_parse_error_exit_code(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess does not see pytest's pythonpath setting
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "cpmonoid", "eval", "S(p1,p2)"],
+        env=env,
         capture_output=True,
         text=True,
     )
@@ -289,6 +299,7 @@ def test_module_entry_point():
     assert proc.stdout == "1\n"
     proc = subprocess.run(
         [sys.executable, "-m", "cpmonoid", "eval", "S(p1"],
+        env=env,
         capture_output=True,
         text=True,
     )

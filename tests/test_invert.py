@@ -1,17 +1,20 @@
 """Invertibility decisions, inverse constructions, units, and transport."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from cpmonoid.words import (
     P1,
     P2,
+    family_classify,
     family_left_cofinite,
     family_left_dependent,
 )
-from cpmonoid.tmagma import leaf_colors, leaf_listing
+from cpmonoid.tmagma import Leaf, Node, leaf_colors, leaf_listing
 from cpmonoid.ucp import ONE_U, expand, from_word, mul_U, reduce, sigma_U
+from cpmonoid.dcp import all_shapes, perm_hom
 from cpmonoid.invert import (
     has_left_inverse,
     has_right_inverse,
@@ -28,12 +31,14 @@ from helpers import (
     GROWING_UNIT,
     ORDER3_UNIT,
     enumerate_reduced_trees,
+    left_inverse_complete,
     oracle_left_invertible,
     oracle_left_invertible_literal,
     oracle_right_invertible,
     oracle_right_invertible_literal,
     oracle_unit,
     random_tree,
+    right_inverse_complete,
     t,
     w,
 )
@@ -57,6 +62,15 @@ def test_left_inverse_examples():
     constructed = left_inverse(PAIR_OF_ONES)
     assert constructed == from_word(P1)
     assert mul_U(constructed, PAIR_OF_ONES) == ONE_U
+
+
+def test_right_inverse_of_a_long_word_is_its_trie():
+    # the trie of the single color p2^40 is a right comb of 41 leaves; the
+    # complete-tree construction would build 2^40 of them
+    long_word = from_word(P2**40)
+    constructed = right_inverse(long_word)
+    assert constructed.degree == 41
+    assert mul_U(long_word, constructed) == ONE_U
 
 
 def test_has_right_inverse_examples():
@@ -141,6 +155,45 @@ def test_decision_procedures_match_brute_force_search():
             assert right_inverse(element) is None
         count += 1
     assert count == 7 + 46 + 644
+
+
+def _chain_unit(k: int):
+    # S(p2, S(p2p1, ... S(p2p1^(k-1), p1^k))): a unit of degree k + 1
+    tree = Leaf(P1**k)
+    for j in reversed(range(k)):
+        tree = Node(Leaf(P2 * P1**j), tree)
+    return reduce(tree)
+
+
+def _inverse_subjects():
+    yield from (reduce(tree) for tree in enumerate_reduced_trees(4, 2))
+    for d in range(1, 6):
+        for shape in all_shapes(d):
+            for g in permutations(range(1, d + 1)):
+                yield perm_hom(shape, g)
+    yield from (_chain_unit(k) for k in range(1, 11))
+
+
+def test_inverses_match_complete_tree_constructions():
+    # the trie builder against the complete-tree oracles, and the unit
+    # decision against the removal-based family flags
+    changed = 0
+    for element in _inverse_subjects():
+        flags = family_classify(leaf_colors(element.tree))
+        assert is_unit(element) == flags.minimally_cofinite
+        assert is_unit(element) == flags.maximally_independent
+        assert left_inverse(element) == left_inverse_complete(element)
+        expected = right_inverse_complete(element)
+        constructed = right_inverse(element)
+        if expected is None or flags.cofinite:
+            assert constructed == expected, element
+        else:
+            assert mul_U(element, constructed) == ONE_U, element
+            assert constructed.degree <= expected.degree, element
+            changed += constructed != expected
+        if is_unit(element):
+            assert unit_inverse(element) == expected
+    assert changed > 0
 
 
 def test_verdicts_stable_under_expansion():
