@@ -6,6 +6,7 @@ Expression grammar (whitespace insensitive)::
     factor := primary ("^" int)*
     primary:= "1" | word | "S(" term "," term ")" | "(" term ")"
     word   := ("p1" | "p2")+
+    int    := [0-9]+
 
 Exit codes: 0 on success, 1 on a domain error (e.g. the element is not a
 unit, or a table is not a monoid), 2 on a usage or parse error.
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .words import Word, ONE
+from .words import WORD_PATTERN, Word, ONE
 from .tmagma import Leaf, Node, Tree, mul, power, sigma
 from .ucp import UElem, from_word, mul_U, power_U, reduce, sigma_U
 from .branch import beta
@@ -68,132 +70,90 @@ class ParseError(Exception):
         )
 
 
-class _Token(NamedTuple):
-    kind: str  # WORD NUMBER SIGMA LPAREN RPAREN COMMA STAR CARET END
-    value: object
-    pos: int
+_TOKEN = re.compile(
+    rf"(?P<WORD>{WORD_PATTERN})|(?P<NUMBER>[0-9]+)|(?P<SIGMA>S)|(?P<LPAREN>\()"
+    r"|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<STAR>\*)|(?P<CARET>\^)|(?P<BAD>p.?|\S)",
+    re.DOTALL,
+)
 
-
-_PUNCTUATION = {
-    "S": "SIGMA", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "*": "STAR", "^": "CARET",
-}
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[ch], ch, i))
-            i += 1
-        elif ch == "p":
-            start = i
-            syms = []
-            while i < n and text[i] == "p":
-                if i + 1 < n and text[i + 1] in "12":
-                    syms.append(int(text[i + 1]))
-                    i += 2
-                else:
-                    raise ParseError(i, ["'p1'", "'p2'"], repr(text[i : i + 2]))
-            tokens.append(_Token("WORD", Word(tuple(syms)), start))
-        elif ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("NUMBER", int(text[start:i]), start))
-        else:
-            raise ParseError(i, ["a term"], repr(ch))
-    tokens.append(_Token("END", None, n))
-    return tokens
-
-
-_FACTOR_STARTERS = ("WORD", "NUMBER", "SIGMA", "LPAREN")
 _FACTOR_EXPECTED = ("'1'", "a word", "'S('", "'('")
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+def _lex(text: str) -> list[tuple]:
+    # finditer skips exactly the whitespace: BAD matches every other character
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, raw = m.lastgroup, m.group()
+        if kind == "BAD":
+            expected = ["'p1'", "'p2'"] if raw[0] == "p" else ["a term"]
+            raise ParseError(m.start(), expected, repr(raw))
+        value = Word.from_str(raw) if kind == "WORD" else int(raw) if kind == "NUMBER" else raw
+        tokens.append((kind, value, m.start()))
+    tokens.append(("END", None, len(text)))
+    return tokens
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+# The parse functions take the token list reversed: toks[-1] is the next
+# token and pop() consumes it.
 
-    def expect(self, kind: str, shown: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.pos, [shown], self._describe(tok))
-        return self.advance()
+def _expect(toks: list[tuple], kind: str, *shown: str) -> tuple:
+    next_kind, value, pos = toks[-1]
+    if next_kind != kind:
+        raise ParseError(pos, shown, "end of input" if next_kind == "END" else repr(str(value)))
+    return toks.pop()
 
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "END":
-            return "end of input"
-        return repr(str(tok.value))
 
-    def term(self) -> TermExpr:
-        expr = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "STAR":
-                self.advance()
-                expr = Product(expr, self.factor())
-            elif tok.kind in _FACTOR_STARTERS:
-                expr = Product(expr, self.factor())
-            else:
-                return expr
+def _term(toks: list[tuple]) -> TermExpr:
+    expr = _factor(toks)
+    # after a factor, only these end the term; anything else is "*" or a factor
+    while toks[-1][0] not in ("RPAREN", "COMMA", "END"):
+        if toks[-1][0] == "STAR":
+            toks.pop()
+        expr = Product(expr, _factor(toks))
+    return expr
 
-    def factor(self) -> TermExpr:
-        expr = self.primary()
-        while self.peek().kind == "CARET":
-            self.advance()
-            tok = self.expect("NUMBER", "a positive integer")
-            if tok.value < 1:
-                raise ParseError(tok.pos, ["a positive integer"], str(tok.value))
-            expr = Power(expr, tok.value)
-        return expr
 
-    def primary(self) -> TermExpr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            if tok.value != 1:
-                raise ParseError(tok.pos, list(_FACTOR_EXPECTED), str(tok.value))
-            self.advance()
-            return WordLit(ONE)
-        if tok.kind == "WORD":
-            self.advance()
-            return WordLit(tok.value)
-        if tok.kind == "SIGMA":
-            self.advance()
-            self.expect("LPAREN", "'('")
-            left = self.term()
-            self.expect("COMMA", "','")
-            right = self.term()
-            self.expect("RPAREN", "')'")
-            return SigmaApp(left, right)
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.term()
-            self.expect("RPAREN", "')'")
-            return inner
-        raise ParseError(tok.pos, list(_FACTOR_EXPECTED), self._describe(tok))
+def _factor(toks: list[tuple]) -> TermExpr:
+    expr = _primary(toks)
+    while toks[-1][0] == "CARET":
+        toks.pop()
+        _, n, pos = _expect(toks, "NUMBER", "a positive integer")
+        if n < 1:
+            raise ParseError(pos, ["a positive integer"], str(n))
+        expr = Power(expr, n)
+    return expr
+
+
+def _primary(toks: list[tuple]) -> TermExpr:
+    kind, value, pos = toks[-1]
+    if kind == "NUMBER":
+        if value != 1:
+            raise ParseError(pos, _FACTOR_EXPECTED, str(value))
+        toks.pop()
+        return WordLit(ONE)
+    if kind == "WORD":
+        toks.pop()
+        return WordLit(value)
+    if kind == "SIGMA":
+        toks.pop()
+        _expect(toks, "LPAREN", "'('")
+        left = _term(toks)
+        _expect(toks, "COMMA", "','")
+        right = _term(toks)
+        _expect(toks, "RPAREN", "')'")
+        return SigmaApp(left, right)
+    # the last alternative: the error lists every way a primary can start
+    _expect(toks, "LPAREN", *_FACTOR_EXPECTED)
+    inner = _term(toks)
+    _expect(toks, "RPAREN", "')'")
+    return inner
 
 
 def parse(text: str) -> TermExpr:
-    parser = _Parser(_lex(text))
-    expr = parser.term()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise ParseError(tok.pos, ["end of input"], _Parser._describe(tok))
+    toks = _lex(text)
+    toks.reverse()
+    expr = _term(toks)
+    _expect(toks, "END", "end of input")
     return expr
 
 

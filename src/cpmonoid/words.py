@@ -9,12 +9,17 @@ invertibility decisions downstream depend.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
 G1 = 1
 G2 = 2
+
+# The text form of a non-identity word; the CLI tokenizer embeds it too.
+WORD_PATTERN = "(?:p[12])+"
+_WORD_PREFIX = re.compile(f"(?:{WORD_PATTERN})?")
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,17 +56,12 @@ class Word:
         """Parse the textual syntax: "1", or a run of "p1"/"p2" tokens."""
         if text == "1":
             return ONE
-        syms = []
-        i = 0
-        while i < len(text):
-            if text[i] == "p" and i + 1 < len(text) and text[i + 1] in "12":
-                syms.append(int(text[i + 1]))
-                i += 2
-            else:
-                raise ValueError(f"bad word syntax at offset {i}: {text!r}")
-        if not syms:
+        valid = _WORD_PREFIX.match(text).end()
+        if valid < len(text):
+            raise ValueError(f"bad word syntax at offset {valid}: {text!r}")
+        if not text:
             raise ValueError("empty word text; use '1' for the identity")
-        return cls(tuple(syms))
+        return cls(tuple(map(int, text[1::2])))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Shortlex key: shorter words first, then by symbols with p1 < p2."""
@@ -137,20 +137,20 @@ class FamilyClassification:
 def family_classify(family: Sequence[Word]) -> FamilyClassification:
     """Compute the four family flags.
 
-    Minimal cofiniteness is checked by rerunning the cofiniteness test with
-    each member removed.  Maximal independence coincides with "independent
-    and cofinite"; the bounded search oracle for it lives in the test suite.
+    Minimal cofiniteness coincides with "cofinite and independent": if
+    member c_i is a suffix of member c_j, dropping c_j keeps the family
+    cofinite; in a suffix-free family only c covers the long words ending
+    in c, so dropping any member loses infinitely many words.  Maximal
+    independence coincides with "independent and cofinite" too.  The
+    removal-based check and the bounded search oracle for maximality live
+    in the test suite.
     """
     members = tuple(family)
     cofinite = family_left_cofinite(members)
     independent = not family_left_dependent(members)
-    minimally = cofinite and all(
-        not family_left_cofinite(members[:k] + members[k + 1:])
-        for k in range(len(members))
-    )
     return FamilyClassification(
         cofinite=cofinite,
         independent=independent,
-        minimally_cofinite=minimally,
+        minimally_cofinite=cofinite and independent,
         maximally_independent=independent and cofinite,
     )

@@ -4,14 +4,16 @@ The inverse-search oracles here decide existence of an inverse by searching
 the full candidate space of trees with bounded degree and color length.
 They depend only on mul/act/reduce semantics, never on the leaf-color
 family analysis they are used to cross-check.  The complete-tree inverse
-constructions at the end are the library's earlier inverse algorithms,
-kept to check the current ones against.
+constructions, the removal-based minimal-cofiniteness check and the
+character-by-character expression parser at the end are the library's
+earlier algorithms, kept to check the current ones against.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from typing import NamedTuple
 
 from cpmonoid.words import (
     G1,
@@ -19,6 +21,7 @@ from cpmonoid.words import (
     ONE,
     Word,
     all_words,
+    family_left_cofinite,
     family_left_dependent,
     is_left_multiple,
     words_up_to,
@@ -36,6 +39,7 @@ from cpmonoid.tmagma import (
 )
 from cpmonoid.ucp import ONE_U, UElem, is_reduced, reduce
 from cpmonoid.dcp import Shape, ShapeLeaf, all_shapes, shape_taus
+from cpmonoid.cli import ParseError, Power, Product, SigmaApp, TermExpr, WordLit
 
 
 def w(text: str) -> Word:
@@ -379,3 +383,158 @@ def right_inverse_complete(a: UElem) -> UElem | None:
     d = max(len(c) for c in colors)
     table = {e.color: e.path for e in leaf_listing(_expand_colors_to(a.tree, d))}
     return reduce(_complete_tree(d, lambda v: table.get(v, ONE)))
+
+
+# ---------------------------------------------------------------------------
+# Removal-based minimal cofiniteness
+#
+# The family_classify body as first written: a cofinite family is minimally
+# cofinite iff dropping any one member leaves it not cofinite.  It reruns
+# the 2^L cofiniteness check once per member; the library now reads the
+# flag off "cofinite and independent", which this checks.
+
+def minimally_cofinite_by_removal(family) -> bool:
+    members = tuple(family)
+    cofinite = family_left_cofinite(members)
+    return cofinite and all(
+        not family_left_cofinite(members[:k] + members[k + 1:])
+        for k in range(len(members))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Character-by-character expression parser
+#
+# The CLI front end as first written: a lexer that walks the text one
+# character at a time into tokens, and a recursive-descent parser class.
+# It is kept only as the oracle for cpmonoid.cli.parse, which must give the
+# same tree or the same ParseError on every text without non-ASCII digits
+# (this lexer reads any str.isdigit() character as a digit).
+
+class _Token(NamedTuple):
+    kind: str  # WORD NUMBER SIGMA LPAREN RPAREN COMMA STAR CARET END
+    value: object
+    pos: int
+
+
+_PUNCTUATION = {
+    "S": "SIGMA", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "*": "STAR", "^": "CARET",
+}
+
+
+def _lex(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[ch], ch, i))
+            i += 1
+        elif ch == "p":
+            start = i
+            syms = []
+            while i < n and text[i] == "p":
+                if i + 1 < n and text[i + 1] in "12":
+                    syms.append(int(text[i + 1]))
+                    i += 2
+                else:
+                    raise ParseError(i, ["'p1'", "'p2'"], repr(text[i : i + 2]))
+            tokens.append(_Token("WORD", Word(tuple(syms)), start))
+        elif ch.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            tokens.append(_Token("NUMBER", int(text[start:i]), start))
+        else:
+            raise ParseError(i, ["a term"], repr(ch))
+    tokens.append(_Token("END", None, n))
+    return tokens
+
+
+_FACTOR_STARTERS = ("WORD", "NUMBER", "SIGMA", "LPAREN")
+_FACTOR_EXPECTED = ("'1'", "a word", "'S('", "'('")
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, shown: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(tok.pos, [shown], self._describe(tok))
+        return self.advance()
+
+    @staticmethod
+    def _describe(tok: _Token) -> str:
+        if tok.kind == "END":
+            return "end of input"
+        return repr(str(tok.value))
+
+    def term(self) -> TermExpr:
+        expr = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "STAR":
+                self.advance()
+                expr = Product(expr, self.factor())
+            elif tok.kind in _FACTOR_STARTERS:
+                expr = Product(expr, self.factor())
+            else:
+                return expr
+
+    def factor(self) -> TermExpr:
+        expr = self.primary()
+        while self.peek().kind == "CARET":
+            self.advance()
+            tok = self.expect("NUMBER", "a positive integer")
+            if tok.value < 1:
+                raise ParseError(tok.pos, ["a positive integer"], str(tok.value))
+            expr = Power(expr, tok.value)
+        return expr
+
+    def primary(self) -> TermExpr:
+        tok = self.peek()
+        if tok.kind == "NUMBER":
+            if tok.value != 1:
+                raise ParseError(tok.pos, list(_FACTOR_EXPECTED), str(tok.value))
+            self.advance()
+            return WordLit(ONE)
+        if tok.kind == "WORD":
+            self.advance()
+            return WordLit(tok.value)
+        if tok.kind == "SIGMA":
+            self.advance()
+            self.expect("LPAREN", "'('")
+            left = self.term()
+            self.expect("COMMA", "','")
+            right = self.term()
+            self.expect("RPAREN", "')'")
+            return SigmaApp(left, right)
+        if tok.kind == "LPAREN":
+            self.advance()
+            inner = self.term()
+            self.expect("RPAREN", "')'")
+            return inner
+        raise ParseError(tok.pos, list(_FACTOR_EXPECTED), self._describe(tok))
+
+
+def parse_reference(text: str) -> TermExpr:
+    parser = _Parser(_lex(text))
+    expr = parser.term()
+    tok = parser.peek()
+    if tok.kind != "END":
+        raise ParseError(tok.pos, ["end of input"], _Parser._describe(tok))
+    return expr

@@ -62,6 +62,7 @@ from helpers import (
     ORDER3_UNIT,
     enumerate_reduced_trees,
     enumerate_trees,
+    minimally_cofinite_by_removal,
     oracle_left_invertible,
     oracle_right_invertible,
     oracle_unit,
@@ -242,6 +243,7 @@ def test_criterion_5_family_equivalences():
             flags = family_classify(family)
             both = flags.cofinite and flags.independent
             assert flags.minimally_cofinite == both
+            assert minimally_cofinite_by_removal(family) == both
             assert flags.maximally_independent == both
             assert _bounded_maximal_independence(family) == both
             checked += 1

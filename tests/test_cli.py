@@ -26,7 +26,8 @@ from cpmonoid.cli import (
     render,
 )
 
-from helpers import lf, random_tree, t, w
+from helpers import lf, parse_reference, random_tree, t, w
+from make_cli_golden import load as load_golden, run_main
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +69,74 @@ def test_parse_errors_carry_position_and_expectations():
         parse("2")
     with pytest.raises(ParseError):
         parse("")
+
+    # a lexical error anywhere wins over an earlier syntax error
+    with pytest.raises(ParseError) as err:
+        parse("S(p1,,p3")
+    assert err.value.position == 6
+    assert err.value.expected == ("'p1'", "'p2'")
+
+    # exponents and the identity are ASCII digits only
+    for text, position, found in (("p1^²", 3, "'²'"), ("p1^١", 3, "'١'"), ("١", 0, "'١'")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert err.value.expected == ("a term",)
+        assert err.value.found == found
+
+
+PARSE_ALPHABET = "p12S(),*^ 0379x\t\n\u00a0\u2003\x1c"  # no non-ASCII digits
+SPACING = ("", "", " ", "\t")
+
+
+def _random_expr_text(rng, depth):
+    """Expression text in the grammar, with random spacing."""
+    roll = rng.random() if depth else 0.0
+    if roll < 0.4:
+        return rng.choice(("1", "p1", "p2", "p2p1", "p1p1p2"))
+    if roll < 0.6:
+        left, right = _random_expr_text(rng, depth - 1), _random_expr_text(rng, depth - 1)
+        return f"S({rng.choice(SPACING)}{left},{rng.choice(SPACING)}{right})"
+    if roll < 0.8:
+        op = rng.choice(("*", " ", " * "))
+        return _random_expr_text(rng, depth - 1) + op + _random_expr_text(rng, depth - 1)
+    if roll < 0.9:
+        return f"({_random_expr_text(rng, depth - 1)})"
+    spaced_caret = rng.choice(SPACING) + "^" + rng.choice(SPACING)
+    return f"{_random_expr_text(rng, depth - 1)}{spaced_caret}{rng.randint(0, 3)}"
+
+
+def _mutate(rng, text):
+    i = rng.randint(0, len(text))
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + rng.choice(PARSE_ALPHABET) + text[i:]
+    if op == 1:
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice(PARSE_ALPHABET) + text[i + 1:]
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return (exc.position, exc.expected, exc.found)
+
+
+def test_parse_matches_reference_parser():
+    # the regex tokenizer and parse functions against the character lexer
+    # and parser class they replaced: same tree, or same error triple
+    rng = random.Random(1618)
+    texts = ["".join(rng.choices(PARSE_ALPHABET, k=rng.randint(0, 14))) for _ in range(12_000)]
+    grammatical = [_random_expr_text(rng, 4) for _ in range(8_000)]
+    texts += [_mutate(rng, text) if k % 2 else text for k, text in enumerate(grammatical)]
+    texts += [render(random_tree(rng, 8, 3)) for _ in range(300)]
+    parsed = 0
+    for text in texts:
+        outcome = _parse_outcome(parse, text)
+        assert outcome == _parse_outcome(parse_reference, text), text
+        parsed += not isinstance(outcome, tuple)
+    assert parsed > 4000
 
 
 def test_eval_modes():
@@ -279,8 +348,18 @@ def test_cmd_gen_units(capsys):
 
 
 def test_cmd_parse_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "eval", "S(p1")
-    assert code == 2 and "syntax error" in err
+    for text in ("S(p1", "p1^²", "p1^١", "١"):
+        code, out, err = run_cli(capsys, "eval", text)
+        assert code == 2 and out == "" and "syntax error" in err
+
+
+def test_cli_golden_corpus(monkeypatch):
+    # every recorded run: same exit code, stdout and stderr, byte for byte
+    monkeypatch.chdir(ROOT)
+    runs = load_golden()
+    assert len(runs) == 455
+    for run in runs:
+        assert run_main(run["argv"]) == run, run["argv"]
 
 
 def test_module_entry_point():

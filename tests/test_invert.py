@@ -32,6 +32,7 @@ from helpers import (
     ORDER3_UNIT,
     enumerate_reduced_trees,
     left_inverse_complete,
+    minimally_cofinite_by_removal,
     oracle_left_invertible,
     oracle_left_invertible_literal,
     oracle_right_invertible,
@@ -179,7 +180,9 @@ def test_inverses_match_complete_tree_constructions():
     # decision against the removal-based family flags
     changed = 0
     for element in _inverse_subjects():
-        flags = family_classify(leaf_colors(element.tree))
+        colors = leaf_colors(element.tree)
+        flags = family_classify(colors)
+        assert minimally_cofinite_by_removal(colors) == (flags.cofinite and flags.independent)
         assert is_unit(element) == flags.minimally_cofinite
         assert is_unit(element) == flags.maximally_independent
         assert left_inverse(element) == left_inverse_complete(element)

@@ -19,7 +19,7 @@ from cpmonoid.words import (
     words_up_to,
 )
 
-from helpers import w
+from helpers import minimally_cofinite_by_removal, w
 
 
 words_st = st.builds(
@@ -194,5 +194,6 @@ def test_units_style_equivalence_exhaustive():
             flags = family_classify(family)
             both = flags.cofinite and flags.independent
             assert flags.minimally_cofinite == both
+            assert minimally_cofinite_by_removal(family) == both
             assert flags.maximally_independent == both
             assert oracle_maximally_independent(family) == both
