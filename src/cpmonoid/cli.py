@@ -364,7 +364,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.table}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         print(f"error: invalid JSON in {args.table}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -144,10 +144,52 @@ class TableViolation:
         return f"{self.law} law fails at {self.indices}: {self.detail}"
 
 
+def _generators(m: FiniteMonoid) -> list[int]:
+    """A small generating set: every element is e right-multiplied by generators.
+
+    Candidates are taken by decreasing size of the cyclic submonoid they
+    generate (ties by index), each added when not yet reached; then every
+    generator whose removal still reaches all elements is dropped.  Only
+    table lookups are used, and associativity is not assumed.
+    """
+    n, table, e = m.n, m.table, m.identity
+
+    def reach(gens: list[int]) -> set[int]:
+        reached, frontier = {e}, [e]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = table[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        return reached
+
+    gens: list[int] = []
+    reached = {e}
+    # reach([a]) is the cyclic submonoid {e, a, a·a, ...}.
+    for a in sorted(range(n), key=lambda a: (-len(reach([a])), a)):
+        if a not in reached:
+            gens.append(a)
+            reached = reach(gens)
+    for g in list(gens):
+        rest = [h for h in gens if h != g]
+        if len(reach(rest)) == n:
+            gens = rest
+    return gens
+
+
 def validate_finite_monoid(m: FiniteMonoid) -> TableViolation | None:
     """Check table shape, the identity laws, and associativity.
 
     Returns the first violation found, or None for a valid monoid.
+
+    Associativity is decided by Light's test on a generating set G: if
+    (x·a)·y == x·(a·y) for every a in G and all x, y, the table is
+    associative.  (The elements a passing that test contain e by the
+    identity laws and are closed under products, and every element is
+    ((e·g1)·g2)·...·gk.)  Only when it fails are all n³ triples scanned, so
+    the violation returned is always the lexicographically first one.
     """
     n = m.n
     if n < 1:
@@ -168,6 +210,14 @@ def validate_finite_monoid(m: FiniteMonoid) -> TableViolation | None:
             return TableViolation("identity", (j,), f"e·{m.labels[j]} != {m.labels[j]}")
         if m.table[j][e] != j:
             return TableViolation("identity", (j,), f"{m.labels[j]}·e != {m.labels[j]}")
+    t = m.table
+    if all(
+        t[t[x][a]][y] == t[x][t[a][y]]
+        for a in _generators(m)
+        for x in range(n)
+        for y in range(n)
+    ):
+        return None
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -187,8 +237,15 @@ def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
     Each element a acts on indices by right translation x -> x·a, extended
     by the identity on padding positions up to D = max(n, 2); the image of
     a is the antihomomorphism image of that self-map on the left comb with
-    D leaves.  Composing the two antihomomorphisms gives a homomorphism,
-    which is verified on all pairs before returning.
+    D leaves.  Composing the two antihomomorphisms gives a homomorphism.
+
+    Before returning, the map phi is verified: phi(e) = 1, the images are
+    distinct, and phi(x·g) = phi(x)·phi(g) for every x and every g in a
+    generating set G, which is n·|G| products.  That implies
+    phi(x·y) = phi(x)·phi(y) for all x, y, by induction on the length of y
+    written as ((e·g1)·g2)·...·gk: the case y = e is phi(e) = 1, and if it
+    holds for y then phi(x·(y·g)) = phi((x·y)·g) = phi(x·y)·phi(g)
+    = phi(x)·phi(y)·phi(g) = phi(x)·phi(y·g).
     """
     violation = validate_finite_monoid(m)
     if violation is not None:
@@ -196,20 +253,21 @@ def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
     n = m.n
     d = max(n, 2)
     shape = left_comb(d)
-    images: dict[str, UElem] = {}
-    for a in range(n):
-        f = [m.table[x][a] + 1 for x in range(n)] + list(range(n + 1, d + 1))
-        images[m.labels[a]] = endo_antihom(shape, f)
-    if images[m.labels[m.identity]] != ONE_U:
+    taus = [from_word(word) for word in shape_taus(shape)]
+    # phi of the tau_f(i) is endo_antihom(shape, f), without re-listing the shape per image.
+    images = [
+        phi(shape, [taus[m.table[x][a]] for x in range(n)] + taus[n:]) for a in range(n)
+    ]
+    if images[m.identity] != ONE_U:
         raise RuntimeError("embedding verification failed: identity image is not 1")
-    for i in range(n):
-        for j in range(n):
-            lhs = mul_U(images[m.labels[i]], images[m.labels[j]])
-            if lhs != images[m.labels[m.table[i][j]]]:
+    gens = _generators(m)
+    for x in range(n):
+        for g in gens:
+            if mul_U(images[x], images[g]) != images[m.table[x][g]]:
                 raise RuntimeError(
                     f"embedding verification failed on "
-                    f"{m.labels[i]}·{m.labels[j]}"
+                    f"{m.labels[x]}·{m.labels[g]}"
                 )
-    if len(set(images.values())) != n:
+    if len(set(images)) != n:
         raise RuntimeError("embedding verification failed: images not distinct")
-    return images
+    return dict(zip(m.labels, images))

@@ -4,15 +4,16 @@ The inverse-search oracles here decide existence of an inverse by searching
 the full candidate space of trees with bounded degree and color length.
 They depend only on mul/act/reduce semantics, never on the leaf-color
 family analysis they are used to cross-check.  The complete-tree inverse
-constructions, the removal-based minimal-cofiniteness check and the
-character-by-character expression parser at the end are the library's
-earlier algorithms, kept to check the current ones against.
+constructions, the removal-based minimal-cofiniteness check, the
+character-by-character expression parser and the all-triples monoid-table
+validator at the end are the library's earlier algorithms, kept to check
+the current ones against.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 from cpmonoid.words import (
@@ -38,7 +39,14 @@ from cpmonoid.tmagma import (
     mul,
 )
 from cpmonoid.ucp import ONE_U, UElem, is_reduced, reduce
-from cpmonoid.dcp import Shape, ShapeLeaf, all_shapes, shape_taus
+from cpmonoid.dcp import (
+    FiniteMonoid,
+    Shape,
+    ShapeLeaf,
+    TableViolation,
+    all_shapes,
+    shape_taus,
+)
 from cpmonoid.cli import ParseError, Power, Product, SigmaApp, TermExpr, WordLit
 
 
@@ -538,3 +546,109 @@ def parse_reference(text: str) -> TermExpr:
     if tok.kind != "END":
         raise ParseError(tok.pos, ["end of input"], _Parser._describe(tok))
     return expr
+
+
+# ---------------------------------------------------------------------------
+# Finite monoid tables
+#
+# Constructors for standard monoids as tables over indices 0..n-1, and a
+# relabelling that lists the elements in a random order.
+
+def cyclic_monoid(n: int) -> FiniteMonoid:
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return FiniteMonoid(tuple(f"c{i}" for i in range(n)), 0, table)
+
+
+def product_monoid(a: FiniteMonoid, b: FiniteMonoid) -> FiniteMonoid:
+    pairs = [(x, y) for x in range(a.n) for y in range(b.n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    table = tuple(
+        tuple(index[(a.table[x][u], b.table[y][v])] for u, v in pairs) for x, y in pairs
+    )
+    labels = tuple(f"{a.labels[x]}|{b.labels[y]}" for x, y in pairs)
+    return FiniteMonoid(labels, index[(a.identity, b.identity)], table)
+
+
+def maps_monoid(maps: list[tuple[int, ...]], prefix: str) -> FiniteMonoid:
+    """Self-maps of {0..d-1} under composition, f·g = g after f."""
+    index = {f: k for k, f in enumerate(maps)}
+    table = tuple(tuple(index[tuple(g[v] for v in f)] for g in maps) for f in maps)
+    labels = tuple(f"{prefix}{k}" for k in range(len(maps)))
+    return FiniteMonoid(labels, index[tuple(range(len(maps[0])))], table)
+
+
+def symmetric_monoid(d: int) -> FiniteMonoid:
+    return maps_monoid(list(permutations(range(d))), "s")
+
+
+def full_transformation_monoid(d: int) -> FiniteMonoid:
+    return maps_monoid(list(product(range(d), repeat=d)), "t")
+
+
+def monogenic_monoid(index: int, period: int) -> FiniteMonoid:
+    """1, a, ..., a^(index+period-1) with a^(index+period) = a^index."""
+    n = index + period
+
+    def norm(k: int) -> int:
+        return k if k < n else index + (k - index) % period
+
+    table = tuple(tuple(norm(i + j) for j in range(n)) for i in range(n))
+    return FiniteMonoid(tuple(f"a{k}" for k in range(n)), 0, table)
+
+
+def relabel_monoid(rng: random.Random, m: FiniteMonoid) -> FiniteMonoid:
+    """The same monoid with its elements listed in a random order."""
+    new = list(range(m.n))
+    rng.shuffle(new)  # element i gets index new[i]
+    table = [[0] * m.n for _ in range(m.n)]
+    labels = [""] * m.n
+    for i in range(m.n):
+        labels[new[i]] = m.labels[i]
+        for j in range(m.n):
+            table[new[i]][new[j]] = new[m.table[i][j]]
+    return FiniteMonoid(tuple(labels), new[m.identity], tuple(map(tuple, table)))
+
+
+# ---------------------------------------------------------------------------
+# All-triples monoid-table validator
+#
+# validate_finite_monoid as first written: after the shape and identity
+# checks it scans all n³ triples for associativity.  The library now runs
+# Light's test on a generating set first, and must return the same result:
+# None, or the same lexicographically first violation.
+
+def validate_finite_monoid_reference(m: FiniteMonoid) -> TableViolation | None:
+    """Check table shape, the identity laws, and associativity.
+
+    Returns the first violation found, or None for a valid monoid.
+    """
+    n = m.n
+    if n < 1:
+        return TableViolation("shape", (), "a monoid needs at least one element")
+    if len(set(m.labels)) != n:
+        return TableViolation("shape", (), "labels must be distinct")
+    if not 0 <= m.identity < n:
+        return TableViolation("shape", (m.identity,), "identity index out of range")
+    if len(m.table) != n or any(len(row) != n for row in m.table):
+        return TableViolation("shape", (), f"table must be {n}x{n}")
+    for i in range(n):
+        for j in range(n):
+            if not 0 <= m.table[i][j] < n:
+                return TableViolation("shape", (i, j), "table entry out of range")
+    e = m.identity
+    for j in range(n):
+        if m.table[e][j] != j:
+            return TableViolation("identity", (j,), f"e·{m.labels[j]} != {m.labels[j]}")
+        if m.table[j][e] != j:
+            return TableViolation("identity", (j,), f"{m.labels[j]}·e != {m.labels[j]}")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if m.table[m.table[i][j]][k] != m.table[i][m.table[j][k]]:
+                    return TableViolation(
+                        "associativity",
+                        (i, j, k),
+                        f"({m.labels[i]}·{m.labels[j]})·{m.labels[k]} != "
+                        f"{m.labels[i]}·({m.labels[j]}·{m.labels[k]})",
+                    )
+    return None

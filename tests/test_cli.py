@@ -298,8 +298,13 @@ def test_cmd_embed_rejects_bad_tables(tmp_path, capsys):
             }
         )
     )
+    # Light's test on the generator b first fails at (a·b)·b, so the exact
+    # message pins the fallback to the lexicographically first triple.
     code, _, err = run_cli(capsys, "embed", str(bad_law))
-    assert code == 1 and "not a monoid" in err
+    assert (code, err) == (
+        1,
+        "error: not a monoid: associativity law fails at (1, 1, 2): (a·a)·b != a·(a·b)\n",
+    )
 
     bad_schema = tmp_path / "bad_schema.json"
     bad_schema.write_text(json.dumps({"elements": ["e"], "identity": "e"}))
@@ -318,6 +323,11 @@ def test_cmd_embed_rejects_bad_tables(tmp_path, capsys):
     bad_json.write_text("{nope")
     code, _, err = run_cli(capsys, "embed", str(bad_json))
     assert code == 2 and "invalid JSON" in err
+
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    code, _, err = run_cli(capsys, "embed", str(not_utf8))
+    assert code == 2 and err.startswith(f"error: invalid JSON in {not_utf8}: ")
 
 
 def test_cmd_classify_colors(capsys):

@@ -25,8 +25,20 @@ from cpmonoid.dcp import (
     validate_finite_monoid,
 )
 from cpmonoid.cli import _finite_monoid_from_json
+import cpmonoid.dcp as dcp
 
-from helpers import random_uelem, t, w
+from helpers import (
+    cyclic_monoid,
+    full_transformation_monoid,
+    monogenic_monoid,
+    product_monoid,
+    random_uelem,
+    relabel_monoid,
+    symmetric_monoid,
+    t,
+    validate_finite_monoid_reference,
+    w,
+)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -229,7 +241,7 @@ def test_validate_finite_monoid():
     violation = validate_finite_monoid(non_assoc)
     assert violation is not None
     assert violation.law == "associativity"
-    assert len(violation.indices) == 3
+    assert violation.indices == (1, 1, 2)
 
     bad_shape = FiniteMonoid(("e", "a"), 0, ((0, 1),))
     violation = validate_finite_monoid(bad_shape)
@@ -329,3 +341,123 @@ def test_fixture_tables_cover_all_small_monoids():
 def test_embed_rejects_invalid_table():
     with pytest.raises(ValueError):
         embed_finite_monoid(FiniteMonoid(("e", "a"), 0, ((0, 1), (0, 0))))
+
+
+def _table_monoid(table) -> FiniteMonoid:
+    n = len(table)
+    return FiniteMonoid(tuple(f"x{i}" for i in range(n)), 0, tuple(map(tuple, table)))
+
+
+def _with_identity_laws(n: int, free_values) -> FiniteMonoid:
+    """Identity 0; free_values fills the entries (i, j) with i, j >= 1 row by row."""
+    table = [[i if j == 0 else j if i == 0 else 0 for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    for (i, j), v in zip(cells, free_values):
+        table[i][j] = v
+    return _table_monoid(table)
+
+
+def _perturbations(m: FiniteMonoid):
+    """Every table differing from m in exactly one entry."""
+    for i in range(m.n):
+        for j in range(m.n):
+            for v in range(m.n):
+                if v != m.table[i][j]:
+                    rows = [list(row) for row in m.table]
+                    rows[i][j] = v
+                    yield FiniteMonoid(m.labels, m.identity, tuple(map(tuple, rows)))
+
+
+def test_validate_matches_reference_on_all_three_element_operations():
+    tables = [_with_identity_laws(3, values) for values in product(range(3), repeat=4)]
+    assert len(tables) == 81
+    for m in tables:
+        assert validate_finite_monoid(m) == validate_finite_monoid_reference(m)
+
+
+def test_validate_matches_reference_on_random_tables():
+    rng = random.Random(606)
+    for _ in range(2000):
+        n = rng.choice((4, 5))
+        m = _with_identity_laws(n, [rng.randrange(n) for _ in range((n - 1) ** 2)])
+        assert validate_finite_monoid(m) == validate_finite_monoid_reference(m)
+
+
+def test_validate_matches_reference_on_perturbed_monoids():
+    monoids = [cyclic_monoid(n) for n in range(1, 7)]
+    monoids += [symmetric_monoid(3), full_transformation_monoid(2)]
+    monoids += [load_fixture(name) for name in ALL_FIXTURES]
+    for monoid in monoids:
+        assert validate_finite_monoid(monoid) is None
+        for m in _perturbations(monoid):
+            assert validate_finite_monoid(m) == validate_finite_monoid_reference(m)
+
+
+def _right_closure(m: FiniteMonoid, gens) -> set[int]:
+    reached = {m.identity}
+    while True:
+        grown = reached | {m.table[x][g] for x in reached for g in gens}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+ORACLE_MONOIDS = {
+    **{f"C{n}": cyclic_monoid(n) for n in range(1, 13)},
+    "Z2xZ4": product_monoid(cyclic_monoid(2), cyclic_monoid(4)),
+    "S3": symmetric_monoid(3),
+    "T2": full_transformation_monoid(2),
+    "T3": full_transformation_monoid(3),
+    "monogenic(3,5)": monogenic_monoid(3, 5),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MONOIDS)
+def test_embed_relabelled_tables_on_all_pairs(name):
+    rng = random.Random(f"embed:{name}")
+    for _ in range(2):
+        m = relabel_monoid(rng, ORACLE_MONOIDS[name])
+        gens = dcp._generators(m)
+        assert len(_right_closure(m, gens)) == m.n
+        for g in gens:
+            assert len(_right_closure(m, [h for h in gens if h != g])) < m.n
+        _check_embedding(m)
+
+
+@pytest.mark.parametrize("name", ["C6", "S3", "T2", "T3", "monogenic(3,5)"])
+def test_embed_rejects_a_wrong_non_generator_image(name, monkeypatch):
+    rng = random.Random(f"mutate:{name}")
+    m = relabel_monoid(rng, ORACLE_MONOIDS[name])
+    embedded = embed_finite_monoid(m)
+    images = [embedded[label] for label in m.labels]
+    real_phi = dcp.phi
+    others = set(dcp._generators(m)) | {m.identity}
+    for y in range(m.n):
+        if y in others:
+            continue
+        wrong = images[rng.choice([k for k in range(m.n) if k != y])]
+
+        def mutated_phi(shape, ms, y=y, wrong=wrong):
+            image = real_phi(shape, ms)
+            return wrong if image == images[y] else image
+
+        monkeypatch.setattr(dcp, "phi", mutated_phi)
+        with pytest.raises(RuntimeError, match="embedding verification failed on"):
+            embed_finite_monoid(m)
+
+
+def test_embed_checks_n_times_generators_products(monkeypatch):
+    calls = []
+    real_mul_U = dcp.mul_U
+
+    def counting_mul_U(a, b):
+        calls.append(None)
+        return real_mul_U(a, b)
+
+    monkeypatch.setattr(dcp, "mul_U", counting_mul_U)
+    embed_finite_monoid(cyclic_monoid(32))
+    assert len(calls) == 32
+    calls.clear()
+    t3 = full_transformation_monoid(3)
+    embed_finite_monoid(t3)
+    assert len(calls) == 27 * len(dcp._generators(t3))
