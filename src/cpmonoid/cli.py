@@ -19,15 +19,16 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .words import WORD_PATTERN, Word, ONE
 from .tmagma import Leaf, Node, Tree, mul, power, sigma
 from .ucp import UElem, from_word, mul_U, power_U, reduce, sigma_U
 from .branch import beta
-from .dcp import FiniteMonoid, all_shapes, embed_finite_monoid, perm_hom, validate_finite_monoid
+from .dcp import FiniteMonoid, all_shapes, phi, shape_taus
 from .invert import is_unit, left_inverse, right_inverse, unit_inverse, unit_order
-from . import tmagma, ucp, words
+from . import dcp, tmagma, ucp, words
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +83,22 @@ _FACTOR_EXPECTED = ("'1'", "a word", "'S('", "'('")
 def _lex(text: str) -> list[tuple]:
     # finditer skips exactly the whitespace: BAD matches every other character
     tokens = []
+    words: dict[str, Word] = {}  # one Word per distinct word text
     for m in _TOKEN.finditer(text):
-        kind, raw = m.lastgroup, m.group()
+        kind, value = m.lastgroup, m.group()
         if kind == "BAD":
-            expected = ["'p1'", "'p2'"] if raw[0] == "p" else ["a term"]
-            raise ParseError(m.start(), expected, repr(raw))
-        value = Word.from_str(raw) if kind == "WORD" else int(raw) if kind == "NUMBER" else raw
+            expected = ["'p1'", "'p2'"] if value[0] == "p" else ["a term"]
+            raise ParseError(m.start(), expected, repr(value))
+        if kind == "WORD":
+            if value not in words:
+                words[value] = Word.from_str(value)
+            value = words[value]
+        elif kind == "NUMBER":
+            value = int(value)
         tokens.append((kind, value, m.start()))
     tokens.append(("END", None, len(text)))
     return tokens
 
-
-# The parse functions take the token list reversed: toks[-1] is the next
-# token and pop() consumes it.
 
 def _expect(toks: list[tuple], kind: str, *shown: str) -> tuple:
     next_kind, value, pos = toks[-1]
@@ -103,58 +107,55 @@ def _expect(toks: list[tuple], kind: str, *shown: str) -> tuple:
     return toks.pop()
 
 
-def _term(toks: list[tuple]) -> TermExpr:
-    expr = _factor(toks)
-    # after a factor, only these end the term; anything else is "*" or a factor
-    while toks[-1][0] not in ("RPAREN", "COMMA", "END"):
-        if toks[-1][0] == "STAR":
-            toks.pop()
-        expr = Product(expr, _factor(toks))
-    return expr
-
-
-def _factor(toks: list[tuple]) -> TermExpr:
-    expr = _primary(toks)
-    while toks[-1][0] == "CARET":
-        toks.pop()
-        _, n, pos = _expect(toks, "NUMBER", "a positive integer")
-        if n < 1:
-            raise ParseError(pos, ["a positive integer"], str(n))
-        expr = Power(expr, n)
-    return expr
-
-
-def _primary(toks: list[tuple]) -> TermExpr:
-    kind, value, pos = toks[-1]
-    if kind == "NUMBER":
-        if value != 1:
-            raise ParseError(pos, _FACTOR_EXPECTED, str(value))
-        toks.pop()
-        return WordLit(ONE)
-    if kind == "WORD":
-        toks.pop()
-        return WordLit(value)
-    if kind == "SIGMA":
-        toks.pop()
-        _expect(toks, "LPAREN", "'('")
-        left = _term(toks)
-        _expect(toks, "COMMA", "','")
-        right = _term(toks)
-        _expect(toks, "RPAREN", "')'")
-        return SigmaApp(left, right)
-    # the last alternative: the error lists every way a primary can start
-    _expect(toks, "LPAREN", *_FACTOR_EXPECTED)
-    inner = _term(toks)
-    _expect(toks, "RPAREN", "')'")
-    return inner
-
-
 def parse(text: str) -> TermExpr:
-    toks = _lex(text)
-    toks.reverse()
-    expr = _term(toks)
-    _expect(toks, "END", "end of input")
-    return expr
+    # Lexing all first makes a lexical error win. toks[-1] is the next token.
+    toks = _lex(text)[::-1]
+    # Each pass reads a primary and its powers, then closes every bracket the
+    # next token ends. Open brackets, innermost last, are
+    # [kind, the enclosing term so far, the first argument of S].
+    opened: list[list] = []
+    term: TermExpr | None = None  # the term so far inside the innermost bracket
+    while True:
+        kind, value, pos = toks[-1]
+        if kind == "WORD" or kind == "NUMBER":
+            if kind == "NUMBER" and value != 1:
+                raise ParseError(pos, _FACTOR_EXPECTED, str(value))
+            toks.pop()
+            expr = WordLit(value if kind == "WORD" else ONE)
+        else:
+            if kind == "SIGMA":
+                toks.pop()
+                _expect(toks, "LPAREN", "'('")
+            else:  # the last alternative: the error lists every way a primary can start
+                _expect(toks, "LPAREN", *_FACTOR_EXPECTED)
+            opened.append([kind, term, None])
+            term = None
+            continue
+        while True:
+            while toks[-1][0] == "CARET":
+                toks.pop()
+                _, n, pos = _expect(toks, "NUMBER", "a positive integer")
+                if n < 1:
+                    raise ParseError(pos, ["a positive integer"], str(n))
+                expr = Power(expr, n)
+            term = expr if term is None else Product(term, expr)
+            # after a factor, only these end the term; anything else is "*" or a factor
+            if toks[-1][0] not in ("RPAREN", "COMMA", "END"):
+                if toks[-1][0] == "STAR":
+                    toks.pop()
+                break
+            if not opened:
+                _expect(toks, "END", "end of input")
+                return term
+            bracket = opened[-1]
+            if bracket[0] == "SIGMA" and bracket[2] is None:
+                _expect(toks, "COMMA", "','")
+                bracket[2], term = term, None
+                break
+            _expect(toks, "RPAREN", "')'")
+            kind, outer, left = opened.pop()
+            expr = SigmaApp(left, term) if kind == "SIGMA" else term
+            term = outer
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +172,22 @@ def eval_expr(e: TermExpr, mode: str) -> Tree | UElem:
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def ev(x: TermExpr):
+    values: list = []
+    stack: list = [e]  # terms to evaluate, and the operations that combine their values
+    while stack:
+        x = stack.pop()
         if isinstance(x, WordLit):
-            return leaf(x.word)
-        if isinstance(x, SigmaApp):
-            return pair(ev(x.left), ev(x.right))
-        if isinstance(x, Product):
-            return product(ev(x.left), ev(x.right))
-        return pow_(ev(x.base), x.exponent)
-
-    return ev(e)
+            values.append(leaf(x.word))
+        elif isinstance(x, (SigmaApp, Product)):
+            stack += (pair if isinstance(x, SigmaApp) else product, x.right, x.left)
+        elif isinstance(x, Power):
+            stack += (x.exponent, x.base)
+        elif isinstance(x, int):
+            values[-1] = pow_(values[-1], x)
+        else:
+            right = values.pop()
+            values[-1] = x(values[-1], right)
+    return values[0]
 
 
 def eval_t(e: TermExpr) -> Tree:
@@ -201,51 +208,51 @@ def _format_word(w: Word, pi: bool) -> str:
 
 
 def render_sexpr(t: Tree) -> str:
-    if isinstance(t, Leaf):
-        return str(t.color)
-    return f"S({render_sexpr(t.left)},{render_sexpr(t.right)})"
+    parts: list[str] = []
+    stack: list = [t]  # trees still to write, and the text between them
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            parts.append(x)
+        elif isinstance(x, Leaf):
+            parts.append(str(x.color))
+        else:
+            parts.append("S(")
+            stack += (")", x.right, ",", x.left)
+    return "".join(parts)
 
 
 def render_ascii(t: Tree, pi: bool = False) -> str:
-    def lines(node: Tree) -> list[str]:
+    lines = []  # pre-order; every line below a node starts with its indent
+    stack: list[tuple[Tree, str, str]] = [(t, "", "")]
+    while stack:
+        node, head, indent = stack.pop()
         if isinstance(node, Leaf):
-            return [_format_word(node.color, pi)]
-        left = lines(node.left)
-        right = lines(node.right)
-        out = ["S"]
-        out.append("|-- " + left[0])
-        out.extend("|   " + line for line in left[1:])
-        out.append("`-- " + right[0])
-        out.extend("    " + line for line in right[1:])
-        return out
-
-    return "\n".join(lines(t))
+            lines.append(head + _format_word(node.color, pi))
+        else:
+            lines.append(head + "S")
+            stack.append((node.right, indent + "`-- ", indent + "    "))
+            stack.append((node.left, indent + "|-- ", indent + "|   "))
+    return "\n".join(lines)
 
 
 def render_dot(t: Tree) -> str:
     # stable depth-first ids: a node is declared immediately before the
     # edge from its parent, so identical trees always serialize identically
     lines = ["digraph tree {"]
+    stack: list[tuple[Tree, str | None]] = [(t, None)]
     counter = 0
-
-    def declare(node: Tree) -> str:
-        nonlocal counter
+    while stack:
+        node, parent = stack.pop()
         name = f"n{counter}"
         counter += 1
         if isinstance(node, Leaf):
             lines.append(f'  {name} [label="{node.color}", shape=box];')
         else:
             lines.append(f'  {name} [label="S"];')
-        return name
-
-    def walk(node: Tree, name: str) -> None:
-        if isinstance(node, Node):
-            for child in (node.left, node.right):
-                child_name = declare(child)
-                lines.append(f"  {name} -> {child_name};")
-                walk(child, child_name)
-
-    walk(t, declare(t))
+            stack += ((node.right, name), (node.left, name))
+        if parent is not None:
+            lines.append(f"  {parent} -> {name};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -296,13 +303,9 @@ def _finite_monoid_from_json(data: object) -> FiniteMonoid:
     return FiniteMonoid(tuple(elements), index[identity], tuple(rows))
 
 
-def _result_tree(args: argparse.Namespace) -> Tree:
-    value = eval_expr(parse(args.expr), args.mode)
-    return value if isinstance(value, (Leaf, Node)) else value.tree
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    print(render(_result_tree(args), args.format, args.pi))
+    value = eval_expr(parse(args.expr), args.mode)
+    print(render(value if isinstance(value, (Leaf, Node)) else value.tree, args.format, args.pi))
     return 0
 
 
@@ -372,11 +375,11 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad monoid file: {exc}", file=sys.stderr)
         return 2
-    violation = validate_finite_monoid(monoid)
+    violation, gens = dcp._validate(monoid)
     if violation is not None:
         print(f"error: not a monoid: {violation}", file=sys.stderr)
         return 1
-    images = embed_finite_monoid(monoid)
+    images = dcp._embed(monoid, gens)
     for label in monoid.labels:
         print(f"{label} -> {render_sexpr(images[label].tree)}")
     return 0
@@ -396,8 +399,11 @@ def _cmd_gen_units(args: argparse.Namespace) -> int:
     units: set[tuple[int, str]] = set()
     for d in range(1, args.depth + 1):
         for shape in all_shapes(d):
-            for perm in permutations(range(1, d + 1)):
-                image = perm_hom(shape, perm)
+            # perm_hom(shape, g) is phi of the taus ordered by g's inverse;
+            # over all g that is every ordering, so list the shape once here.
+            taus = [from_word(tau) for tau in shape_taus(shape)]
+            for ordered in permutations(taus):
+                image = phi(shape, ordered)
                 if image.degree > args.max_degree:
                     continue
                 units.add((image.degree, render_sexpr(image.tree)))
@@ -473,9 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()  # on first use, not at import; parse_args keeps no state
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

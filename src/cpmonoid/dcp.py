@@ -58,9 +58,6 @@ def shape_taus(s: Shape) -> list[Word]:
 
 def _graft(s: Shape, trees: Sequence[Tree], needs: str) -> Tree:
     """Replace the i-th leaf of the shape with the i-th tree."""
-    d = degree(s)
-    if len(trees) != d:
-        raise ValueError(f"{needs.format(d)}, got {len(trees)}")
     it = iter(trees)
 
     def build(t: Tree) -> Tree:
@@ -68,7 +65,14 @@ def _graft(s: Shape, trees: Sequence[Tree], needs: str) -> Tree:
             return next(it)
         return Node(build(t.left), build(t.right))
 
-    return build(s)
+    # A wrong count runs out of trees or leaves some over: no leaf count needed.
+    try:
+        grafted = build(s)
+    except StopIteration:
+        grafted = None
+    if grafted is None or next(it, None) is not None:
+        raise ValueError(f"{needs.format(degree(s))}, got {len(trees)}")
+    return grafted
 
 
 def phi(s: Shape, ms: Sequence[UElem]) -> UElem:
@@ -191,33 +195,39 @@ def validate_finite_monoid(m: FiniteMonoid) -> TableViolation | None:
     ((e·g1)·g2)·...·gk.)  Only when it fails are all n³ triples scanned, so
     the violation returned is always the lexicographically first one.
     """
+    return _validate(m)[0]
+
+
+def _validate(m: FiniteMonoid) -> tuple[TableViolation | None, list[int]]:
+    """validate_finite_monoid's answer, and the G of its Light's test ([] if not reached)."""
     n = m.n
     if n < 1:
-        return TableViolation("shape", (), "a monoid needs at least one element")
+        return TableViolation("shape", (), "a monoid needs at least one element"), []
     if len(set(m.labels)) != n:
-        return TableViolation("shape", (), "labels must be distinct")
+        return TableViolation("shape", (), "labels must be distinct"), []
     if not 0 <= m.identity < n:
-        return TableViolation("shape", (m.identity,), "identity index out of range")
+        return TableViolation("shape", (m.identity,), "identity index out of range"), []
     if len(m.table) != n or any(len(row) != n for row in m.table):
-        return TableViolation("shape", (), f"table must be {n}x{n}")
+        return TableViolation("shape", (), f"table must be {n}x{n}"), []
     for i in range(n):
         for j in range(n):
             if not 0 <= m.table[i][j] < n:
-                return TableViolation("shape", (i, j), "table entry out of range")
+                return TableViolation("shape", (i, j), "table entry out of range"), []
     e = m.identity
     for j in range(n):
         if m.table[e][j] != j:
-            return TableViolation("identity", (j,), f"e·{m.labels[j]} != {m.labels[j]}")
+            return TableViolation("identity", (j,), f"e·{m.labels[j]} != {m.labels[j]}"), []
         if m.table[j][e] != j:
-            return TableViolation("identity", (j,), f"{m.labels[j]}·e != {m.labels[j]}")
+            return TableViolation("identity", (j,), f"{m.labels[j]}·e != {m.labels[j]}"), []
     t = m.table
+    gens = _generators(m)
     if all(
         t[t[x][a]][y] == t[x][t[a][y]]
-        for a in _generators(m)
+        for a in gens
         for x in range(n)
         for y in range(n)
     ):
-        return None
+        return None, gens
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -227,8 +237,8 @@ def validate_finite_monoid(m: FiniteMonoid) -> TableViolation | None:
                         (i, j, k),
                         f"({m.labels[i]}·{m.labels[j]})·{m.labels[k]} != "
                         f"{m.labels[i]}·({m.labels[j]}·{m.labels[k]})",
-                    )
-    return None
+                    ), gens
+    return None, gens
 
 
 def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
@@ -247,9 +257,14 @@ def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
     holds for y then phi(x·(y·g)) = phi((x·y)·g) = phi(x·y)·phi(g)
     = phi(x)·phi(y)·phi(g) = phi(x)·phi(y·g).
     """
-    violation = validate_finite_monoid(m)
+    violation, gens = _validate(m)
     if violation is not None:
         raise ValueError(f"invalid monoid table: {violation}")
+    return _embed(m, gens)
+
+
+def _embed(m: FiniteMonoid, gens: list[int]) -> dict[str, UElem]:
+    """embed_finite_monoid of a table that passed _validate with generating set gens."""
     n = m.n
     d = max(n, 2)
     shape = left_comb(d)
@@ -260,7 +275,6 @@ def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
     ]
     if images[m.identity] != ONE_U:
         raise RuntimeError("embedding verification failed: identity image is not 1")
-    gens = _generators(m)
     for x in range(n):
         for g in gens:
             if mul_U(images[x], images[g]) != images[m.table[x][g]]:

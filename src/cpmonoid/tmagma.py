@@ -50,9 +50,14 @@ def sigma(a: Tree, b: Tree) -> Tree:
 
 def degree(a: Tree) -> int:
     """Number of leaves."""
-    if isinstance(a, Leaf):
-        return 1
-    return degree(a.left) + degree(a.right)
+    n, stack = 0, [a]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Leaf):
+            n += 1
+        else:
+            stack += (t.left, t.right)
+    return n
 
 
 def depth(a: Tree) -> int:

@@ -37,11 +37,14 @@ def _retracted(left: Tree, right: Tree) -> Word | None:
 
 
 def is_reduced(a: Tree) -> bool:
-    if isinstance(a, Leaf):
-        return True
-    if _retracted(a.left, a.right) is not None:
-        return False
-    return is_reduced(a.left) and is_reduced(a.right)
+    stack = [a]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Node):
+            if _retracted(t.left, t.right) is not None:
+                return False
+            stack += (t.left, t.right)
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +63,13 @@ class UElem:
 
     def __mul__(self, other: UElem) -> UElem:
         return mul_U(self, other)
+
+
+def _trusted(tree: Tree) -> UElem:
+    """A UElem for a tree already known to be reduced, without the re-walk."""
+    u = object.__new__(UElem)
+    object.__setattr__(u, "tree", tree)
+    return u
 
 
 ONE_U = UElem(ONE_T)
@@ -87,17 +97,25 @@ def _reduce_tree(t: Tree) -> Tree:
     # Post-order: reduce both children, then retract here if possible.
     # A retraction can only enable further retractions at ancestors, so a
     # single bottom-up pass reaches the normal form.
-    if isinstance(t, Leaf):
-        return t
-    left = _reduce_tree(t.left)
-    right = _reduce_tree(t.right)
-    w = _retracted(left, right)
-    return Leaf(w) if w is not None else Node(left, right)
+    stack: list = [t]
+    out: list[Tree] = []
+    while stack:
+        x = stack.pop()
+        if x is None:  # the top two outputs are the children of one node
+            right = out.pop()
+            left = out[-1]
+            w = _retracted(left, right)
+            out[-1] = Leaf(w) if w is not None else Node(left, right)
+        elif isinstance(x, Leaf):
+            out.append(x)
+        else:
+            stack += (None, x.right, x.left)
+    return out[0]
 
 
 def reduce(a: Tree) -> UElem:
     """The unique reduced tree equivalent to the input."""
-    return UElem(_reduce_tree(a))
+    return _trusted(_reduce_tree(a))
 
 
 def mul_U(a: UElem, b: UElem) -> UElem:
@@ -105,7 +123,9 @@ def mul_U(a: UElem, b: UElem) -> UElem:
 
 
 def sigma_U(a: UElem, b: UElem) -> UElem:
-    return reduce(sigma(a.tree, b.tree))
+    # Both operands are reduced, so only the new root can retract.
+    w = _retracted(a.tree, b.tree)
+    return _trusted(Leaf(w) if w is not None else sigma(a.tree, b.tree))
 
 
 def power_U(a: UElem, n: int) -> UElem:

@@ -25,6 +25,7 @@ from cpmonoid.cli import (
     parse,
     render,
 )
+import cpmonoid.dcp as dcp
 
 from helpers import lf, parse_reference, random_tree, t, w
 from make_cli_golden import load as load_golden, run_main
@@ -361,6 +362,72 @@ def test_cmd_parse_error_exit_code(capsys):
     for text in ("S(p1", "p1^²", "p1^١", "١"):
         code, out, err = run_cli(capsys, "eval", text)
         assert code == 2 and out == "" and "syntax error" in err
+
+
+def test_cmd_embed_validates_once(monkeypatch, capsys):
+    # validate_finite_monoid returns _validate's violation, so every
+    # validation is one _validate call, which runs _generators and shares G
+    calls = []
+    for name in ("_validate", "_generators"):
+        real = getattr(dcp, name)
+        monkeypatch.setattr(dcp, name, lambda m, real=real, name=name: calls.append(name) or real(m))
+    code, out, _ = run_cli(capsys, "embed", str(FIXTURES / "klein.json"))
+    assert code == 0 and len(out.splitlines()) == 4
+    assert sorted(calls) == ["_generators", "_validate"]
+    calls.clear()
+    dcp.embed_finite_monoid(dcp.FiniteMonoid(("e", "a"), 0, ((0, 1), (1, 0))))
+    assert sorted(calls) == ["_generators", "_validate"]
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    good = [
+        ("eval", "S(p1,p2)", "--in", "T", "--format", "ascii"),
+        ("eval", "S(p1,p2)"),
+        ("order", "S(p2,p1)", "--max", "5"),
+    ]
+    before = [run_cli(capsys, *argv) for argv in good]
+    assert before[1] == (0, "1\n", "")  # the first call's --in T did not stick
+    with pytest.raises(SystemExit) as usage:
+        main(["eval", "S(p1,p2)", "--format", "svg"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert [run_cli(capsys, *argv) for argv in good] == before
+
+
+DEEP = 10_000
+DEEP_ASCII = 1_500  # ascii lines indent by depth: 10^4 levels would print ~400 MB
+
+
+def _right_comb(fmt, pairings, last):
+    """S(p1,S(p1,...S(p1,last)...)) with the given number of pairings, rendered."""
+    if fmt == "sexpr":
+        return "S(p1," * pairings + last + ")" * pairings
+    if fmt == "ascii":
+        lines = []
+        for i in range(pairings):
+            lines += [("    " * (i - 1) + "`-- " if i else "") + "S", "    " * i + "|-- p1"]
+        return "\n".join(lines + ["    " * (pairings - 1) + "`-- " + last])
+    lines = ["digraph tree {", '  n0 [label="S"];']
+    for i in range(pairings):
+        node = 2 * i
+        right = '[label="S"]' if i < pairings - 1 else f'[label="{last}", shape=box]'
+        lines += [f'  n{node + 1} [label="p1", shape=box];', f"  n{node} -> n{node + 1};",
+                  f"  n{node + 2} {right};", f"  n{node} -> n{node + 2};"]
+    return "\n".join(lines + ["}"])
+
+
+@pytest.mark.parametrize("fmt", ["sexpr", "ascii", "dot"])
+@pytest.mark.parametrize("command", [("eval",), ("eval", "--in", "T"), ("reduce",)])
+def test_deep_nesting(capsys, command, fmt):
+    # parse, evaluate, reduce and render keep no frame per level
+    paren = "(" * DEEP + "p1" + ")" * DEEP
+    leaf = 'digraph tree {\n  n0 [label="p1", shape=box];\n}' if fmt == "dot" else "p1"
+    assert run_cli(capsys, command[0], paren, *command[1:], "--format", fmt) == (0, leaf + "\n", "")
+    n = DEEP_ASCII if fmt == "ascii" else DEEP
+    comb = "S(p1," * n + "p2" + ")" * n
+    # in U, and after reduce, the innermost S(p1,p2) retracts to 1
+    expected = _right_comb(fmt, n, "p2") if "T" in command else _right_comb(fmt, n - 1, "1")
+    assert run_cli(capsys, command[0], comb, *command[1:], "--format", fmt) == (0, expected + "\n", "")
 
 
 def test_cli_golden_corpus(monkeypatch):

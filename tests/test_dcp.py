@@ -79,8 +79,10 @@ def test_phi_examples():
     from cpmonoid.ucp import sigma_U
 
     assert phi(two, [a, b]) == sigma_U(a, b)
-    with pytest.raises(ValueError):
-        phi(two, [a])
+    # too few and too many: the shape's leaves are counted only for this message
+    for ms in ([a], [a, b, a]):
+        with pytest.raises(ValueError, match=f"^phi needs 2 arguments for this shape, got {len(ms)}$"):
+            phi(two, ms)
 
 
 def test_phi_extraction_and_right_translation():
@@ -106,8 +108,9 @@ def test_combine_examples():
         w("p2p1"),
         w("p2"),
     ]
-    with pytest.raises(ValueError):
-        combine(two, [two])
+    for inners in ([two], [two, two, two]):
+        with pytest.raises(ValueError, match=f"^combine needs 2 inner shapes, got {len(inners)}$"):
+            combine(two, inners)
 
 
 def test_combine_tau_formula_and_iteration():

@@ -22,6 +22,7 @@ from cpmonoid.ucp import (
 )
 
 from helpers import (
+    enumerate_reduced_trees,
     lf,
     random_tree,
     reduce_randomized,
@@ -99,7 +100,10 @@ def test_confluence_randomized_small():
             tree = Node(
                 tree, Node(Leaf(concat(P1, word)), Leaf(concat(P2, word)))
             )
-        assert reduce_randomized(tree, rng) == reduce(tree).tree
+        normal = reduce(tree).tree
+        assert is_reduced(normal)
+        assert reduce_randomized(tree, rng) == normal
+        assert is_reduced(tree) == (retractable_addresses(tree) == [])
 
 
 def bounded_move_search_equivalent(a, b, max_degree=6, max_steps=4000) -> bool:
@@ -154,6 +158,19 @@ def test_sigma_U_degree_drop():
     # wrong order does not retract
     assert sigma_U(right, left).tree == Node(right.tree, left.tree)
     assert sigma_U(from_word(P1), from_word(P2)) == ONE_U
+
+
+def test_sigma_U_matches_reduce_of_sigma():
+    # sigma_U retracts at the root only. All pairs of the degree <= 2 trees
+    # cover every root case; degree <= 4 against every leaf, both ways,
+    # covers larger operands (all pairs at degree 4 are 1.4e8).
+    small = [reduce(x) for x in enumerate_reduced_trees(2, 2)]
+    pairs = [(a, b) for a in small for b in small]
+    leaves = [x for x in small if isinstance(x.tree, Leaf)]
+    for a in map(reduce, enumerate_reduced_trees(4, 2)):
+        pairs += [(a, b) for b in leaves] + [(b, a) for b in leaves]
+    for a, b in pairs:
+        assert sigma_U(a, b) == reduce(sigma(a.tree, b.tree))
 
 
 @given(trees_st, trees_st)

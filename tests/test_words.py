@@ -1,5 +1,6 @@
 """Word arithmetic and the family analysis."""
 
+import re
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -52,6 +53,18 @@ def test_word_parsing_and_printing():
         Word.from_str("p3")
     with pytest.raises(ValueError):
         Word.from_str("")
+
+
+def test_word_symbol_check():
+    # symbols are compared with ==, so True (== 1) is a symbol, as it always was
+    assert Word((True, 2)).syms == (True, 2)
+    assert Word([1, 2]).syms == [1, 2]
+    for syms in ("12", (0,), (3,), (None,), (1, [2]), [1, 0], iter((1, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"word symbols must be 1 or 2: {syms!r}")):
+            Word(syms)
+    for syms in (None, True):
+        with pytest.raises(TypeError):
+            Word(syms)
 
 
 def test_is_left_multiple_examples():
