@@ -20,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import Sequence
 
 from .words import WORD_PATTERN, Word, ONE
@@ -71,90 +72,107 @@ class ParseError(Exception):
         )
 
 
-_TOKEN = re.compile(
-    rf"(?P<WORD>{WORD_PATTERN})|(?P<NUMBER>[0-9]+)|(?P<SIGMA>S)|(?P<LPAREN>\()"
-    r"|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<STAR>\*)|(?P<CARET>\^)|(?P<BAD>p.?|\S)",
-    re.DOTALL,
-)
+# The first character no token can start: a "p" that begins no "p1"/"p2",
+# or a character outside the grammar.  Whitespace (Unicode \s) separates tokens.
+_LEX_ERROR = re.compile(r"p(?![12])|[^\sp0-9S(),*^]")
+# With no lexical error, every token is a word, a number or one character.
+_TOKEN = re.compile(rf"{WORD_PATTERN}|[0-9]+|\S")
 
 _FACTOR_EXPECTED = ("'1'", "a word", "'S('", "'('")
 
 
-def _lex(text: str) -> list[tuple]:
-    # finditer skips exactly the whitespace: BAD matches every other character
-    tokens = []
-    words: dict[str, Word] = {}  # one Word per distinct word text
-    for m in _TOKEN.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind == "BAD":
-            expected = ["'p1'", "'p2'"] if value[0] == "p" else ["a term"]
-            raise ParseError(m.start(), expected, repr(value))
-        if kind == "WORD":
-            if value not in words:
-                words[value] = Word.from_str(value)
-            value = words[value]
-        elif kind == "NUMBER":
-            value = int(value)
-        tokens.append((kind, value, m.start()))
-    tokens.append(("END", None, len(text)))
-    return tokens
-
-
-def _expect(toks: list[tuple], kind: str, *shown: str) -> tuple:
-    next_kind, value, pos = toks[-1]
-    if next_kind != kind:
-        raise ParseError(pos, shown, "end of input" if next_kind == "END" else repr(str(value)))
-    return toks.pop()
+def _error(text: str, toks: list[str], i: int, expected: Sequence[str],
+           found: str | None = None) -> ParseError:
+    """The error at token i; its position is found only now, by rescanning."""
+    if i == len(toks) - 1:
+        pos = len(text)
+    else:
+        pos = next(islice(_TOKEN.finditer(text), i, None)).start()
+    if found is None:
+        tok = toks[i]
+        found = "end of input" if not tok else repr(str(int(tok)) if tok[0].isdigit() else tok)
+    return ParseError(pos, expected, found)
 
 
 def parse(text: str) -> TermExpr:
-    # Lexing all first makes a lexical error win. toks[-1] is the next token.
-    toks = _lex(text)[::-1]
+    """Parse an expression of the grammar above into its syntax tree.
+
+    A lexical error (a character no token starts with) wins over a syntax
+    error before it.  The tokens are plain strings from one regex pass;
+    positions are worked out only for an error.  Nesting depth is bounded
+    by memory, not by the recursion limit.
+    """
+    bad = _LEX_ERROR.search(text)
+    if bad is not None:
+        pos = bad.start()
+        if text[pos] == "p":
+            raise ParseError(pos, ["'p1'", "'p2'"], repr(text[pos:pos + 2]))
+        raise ParseError(pos, ["a term"], repr(text[pos]))
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end of input
+    words: dict[str, Word] = {}  # one Word per distinct word text
+    i = 0  # toks[i] is the next token
     # Each pass reads a primary and its powers, then closes every bracket the
     # next token ends. Open brackets, innermost last, are
-    # [kind, the enclosing term so far, the first argument of S].
+    # [its first token, the enclosing term so far, the first argument of S].
     opened: list[list] = []
     term: TermExpr | None = None  # the term so far inside the innermost bracket
     while True:
-        kind, value, pos = toks[-1]
-        if kind == "WORD" or kind == "NUMBER":
-            if kind == "NUMBER" and value != 1:
-                raise ParseError(pos, _FACTOR_EXPECTED, str(value))
-            toks.pop()
-            expr = WordLit(value if kind == "WORD" else ONE)
-        else:
-            if kind == "SIGMA":
-                toks.pop()
-                _expect(toks, "LPAREN", "'('")
-            else:  # the last alternative: the error lists every way a primary can start
-                _expect(toks, "LPAREN", *_FACTOR_EXPECTED)
-            opened.append([kind, term, None])
+        tok = toks[i]
+        if tok == "S" or tok == "(":
+            i += 1
+            if tok == "S":
+                if toks[i] != "(":
+                    raise _error(text, toks, i, ("'('",))
+                i += 1
+            opened.append([tok, term, None])
             term = None
             continue
+        if tok[:1] == "p":
+            word = words.get(tok)
+            if word is None:
+                word = words[tok] = Word(tuple(map(int, tok[1::2])))
+            expr = WordLit(word)
+        elif tok[:1].isdigit():
+            if int(tok) != 1:
+                raise _error(text, toks, i, _FACTOR_EXPECTED, str(int(tok)))
+            expr = WordLit(ONE)
+        else:  # the error lists every way a primary can start
+            raise _error(text, toks, i, _FACTOR_EXPECTED)
+        i += 1
         while True:
-            while toks[-1][0] == "CARET":
-                toks.pop()
-                _, n, pos = _expect(toks, "NUMBER", "a positive integer")
+            while toks[i] == "^":
+                i += 1
+                if not toks[i][:1].isdigit():
+                    raise _error(text, toks, i, ("a positive integer",))
+                n = int(toks[i])
                 if n < 1:
-                    raise ParseError(pos, ["a positive integer"], str(n))
+                    raise _error(text, toks, i, ("a positive integer",), str(n))
+                i += 1
                 expr = Power(expr, n)
             term = expr if term is None else Product(term, expr)
             # after a factor, only these end the term; anything else is "*" or a factor
-            if toks[-1][0] not in ("RPAREN", "COMMA", "END"):
-                if toks[-1][0] == "STAR":
-                    toks.pop()
+            tok = toks[i]
+            if tok != ")" and tok != "," and tok:
+                if tok == "*":
+                    i += 1
                 break
             if not opened:
-                _expect(toks, "END", "end of input")
+                if tok:
+                    raise _error(text, toks, i, ("end of input",))
                 return term
             bracket = opened[-1]
-            if bracket[0] == "SIGMA" and bracket[2] is None:
-                _expect(toks, "COMMA", "','")
+            if bracket[0] == "S" and bracket[2] is None:
+                if tok != ",":
+                    raise _error(text, toks, i, ("','",))
+                i += 1
                 bracket[2], term = term, None
                 break
-            _expect(toks, "RPAREN", "')'")
-            kind, outer, left = opened.pop()
-            expr = SigmaApp(left, term) if kind == "SIGMA" else term
+            if tok != ")":
+                raise _error(text, toks, i, ("')'",))
+            i += 1
+            first, outer, left = opened.pop()
+            expr = SigmaApp(left, term) if first == "S" else term
             term = outer
 
 
@@ -176,13 +194,16 @@ def eval_expr(e: TermExpr, mode: str) -> Tree | UElem:
     stack: list = [e]  # terms to evaluate, and the operations that combine their values
     while stack:
         x = stack.pop()
-        if isinstance(x, WordLit):
+        kind = type(x)
+        if kind is WordLit:
             values.append(leaf(x.word))
-        elif isinstance(x, (SigmaApp, Product)):
-            stack += (pair if isinstance(x, SigmaApp) else product, x.right, x.left)
-        elif isinstance(x, Power):
+        elif kind is SigmaApp:
+            stack += (pair, x.right, x.left)
+        elif kind is Product:
+            stack += (product, x.right, x.left)
+        elif kind is Power:
             stack += (x.exponent, x.base)
-        elif isinstance(x, int):
+        elif kind is int:
             values[-1] = pow_(values[-1], x)
         else:
             right = values.pop()

@@ -38,6 +38,16 @@ def left_comb(d: int) -> Shape:
     return shape
 
 
+def _balanced_shape(d: int) -> Shape:
+    """ceil(d/2) leaves on the left and floor(d/2) on the right, at every node.
+
+    Its depth is ceil(log2 d), and for d <= 3 it is the left comb.
+    """
+    if d == 1:
+        return LEAF_SHAPE
+    return Node(_balanced_shape((d + 1) // 2), _balanced_shape(d // 2))
+
+
 def all_shapes(d: int) -> Iterator[Shape]:
     """All shapes with exactly d leaves, left split sizes ascending."""
     if d < 1:
@@ -246,8 +256,11 @@ def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
 
     Each element a acts on indices by right translation x -> x·a, extended
     by the identity on padding positions up to D = max(n, 2); the image of
-    a is the antihomomorphism image of that self-map on the left comb with
-    D leaves.  Composing the two antihomomorphisms gives a homomorphism.
+    a is the antihomomorphism image of that self-map on the balanced shape
+    with D leaves (ceil(D/2) on the left and floor(D/2) on the right, at
+    every node).  Composing the two antihomomorphisms gives a homomorphism.
+    The images have depth at most ceil(log2 D), and for D <= 3 the shape
+    is the left comb.
 
     Before returning, the map phi is verified: phi(e) = 1, the images are
     distinct, and phi(x·g) = phi(x)·phi(g) for every x and every g in a
@@ -266,8 +279,7 @@ def embed_finite_monoid(m: FiniteMonoid) -> dict[str, UElem]:
 def _embed(m: FiniteMonoid, gens: list[int]) -> dict[str, UElem]:
     """embed_finite_monoid of a table that passed _validate with generating set gens."""
     n = m.n
-    d = max(n, 2)
-    shape = left_comb(d)
+    shape = _balanced_shape(max(n, 2))
     taus = [from_word(word) for word in shape_taus(shape)]
     # phi of the tau_f(i) is endo_antihom(shape, f), without re-listing the shape per image.
     images = [

@@ -21,6 +21,8 @@ G2 = 2
 WORD_PATTERN = "(?:p[12])+"
 _WORD_PREFIX = re.compile(f"(?:{WORD_PATTERN})?")
 _SYMBOLS = frozenset((G1, G2))
+# A symbol's text, looked up by hash: True and 1.0 equal G1 and print as p1.
+_SYMBOL_TEXT = {G1: "p1", G2: "p2"}.__getitem__
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +56,7 @@ class Word:
     def __str__(self) -> str:
         if not self.syms:
             return "1"
-        return "".join(f"p{s}" for s in self.syms)
+        return "".join(map(_SYMBOL_TEXT, self.syms))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"

@@ -7,6 +7,12 @@ fails it.  Regenerate the corpus only when an output change is intended,
 and list the changed runs in CHANGES.md:
 
     PYTHONPATH=src python tests/make_cli_golden.py
+
+With ``--check`` it writes nothing: it replays every recorded run, prints
+the argv of each run whose exit code, stdout or stderr now differs, and
+exits 1 if any does (0 if none).  Those argvs are the list for CHANGES.md:
+
+    PYTHONPATH=src python tests/make_cli_golden.py --check
 """
 
 from __future__ import annotations
@@ -118,7 +124,19 @@ def write(path: Path) -> int:
     return len(runs)
 
 
+def check() -> int:
+    """Print the argv of every recorded run that now differs; 1 if any does."""
+    changed = [run["argv"] for run in load() if run_main(run["argv"]) != run]
+    for argv in changed:
+        print(json.dumps(argv))
+    print(f"{len(changed)} recorded runs differ", file=sys.stderr)
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    target = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else CORPUS
+    checking = sys.argv[1:] == ["--check"]
+    target = CORPUS if checking or len(sys.argv) < 2 else Path(sys.argv[1]).resolve()
     os.chdir(ROOT)  # fixture paths in argv are relative to the repository root
+    if checking:
+        sys.exit(check())
     print(f"{write(target)} runs written to {target}")

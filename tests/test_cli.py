@@ -140,6 +140,27 @@ def test_parse_matches_reference_parser():
     assert parsed > 4000
 
 
+def test_parse_error_positions_match_reference_parser():
+    # a token's position is worked out only when an error is raised, by
+    # rescanning the text: check it where the random corpus rarely looks
+    run = "p1*p2p1 " * 5_000  # 10^4 valid tokens
+    errors = [run + ")", run + "^0", "(" + run, run + "p3"]
+    for space in ("\t", "\n", "\u00a0", "\x1c"):
+        errors += [
+            f"S(p1,{space})", f"p1{space}^0", f"S{space}p1", f"p1{space}p3",
+            f"S(p1,p2){space})", f"p1{space}x", f"(p1{space}", f"S(p1{space}p2)",
+        ]
+    errors += ["p1^0", "p1^000", "p1^007^0", "S(p1,p2) ^ 00", "p1^", "p1^p2", "p1^S", "S 007", "007"]
+    errors += ["(p1", "S(p1,p2", "((p1)", "S(S(p1,p2),p1", "S(p1,(p2)", "(" * 50 + "p1" + ")" * 49]
+    for text in errors:
+        outcome = _parse_outcome(parse, text)
+        assert isinstance(outcome, tuple), text
+        assert outcome == _parse_outcome(parse_reference, text), text
+    short = run[:800]  # a product 200 deep: == on syntax trees recurses
+    for text in ("p1^007", "p1 ^ 01 ^ 2", short + "p1", "(" * 50 + short + ")" * 50):
+        assert parse(text) == parse_reference(text), text
+
+
 def test_eval_modes():
     assert eval_expr(parse("S(p1,p2)"), "U") == reduce(t(("p1", "p2")))
     assert eval_expr(parse("S(p1,p2)"), "T") == t(("p1", "p2"))

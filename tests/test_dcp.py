@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cpmonoid.words import ONE
+from cpmonoid.tmagma import depth
 from cpmonoid.ucp import ONE_U, from_word, mul_U
 from cpmonoid.invert import is_unit, unit_order
 from cpmonoid.dcp import (
@@ -257,6 +258,18 @@ def test_embed_trivial_and_c2():
     c2 = embed_finite_monoid(load_fixture("c2"))
     assert c2["e"] == ONE_U
     assert c2["a"].tree == t(("p2", "p1"))
+
+
+@pytest.mark.parametrize(
+    "monoid",
+    [cyclic_monoid(64), symmetric_monoid(4), full_transformation_monoid(3)],
+    ids=["C64", "S4", "T3"],
+)
+def test_embed_images_have_logarithmic_depth(monoid):
+    # the balanced shape: depth ceil(log2 n), where the left comb had n - 1
+    images = embed_finite_monoid(monoid)
+    ceil_log2 = (monoid.n - 1).bit_length()
+    assert max(depth(image.tree) for image in images.values()) <= ceil_log2
 
 
 def _check_embedding(monoid: FiniteMonoid):

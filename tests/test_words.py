@@ -56,9 +56,14 @@ def test_word_parsing_and_printing():
 
 
 def test_word_symbol_check():
-    # symbols are compared with ==, so True (== 1) is a symbol, as it always was
+    # symbols are compared with ==, so True (== 1) is a symbol, as it always was;
+    # equal words print alike
     assert Word((True, 2)).syms == (True, 2)
     assert Word([1, 2]).syms == [1, 2]
+    for syms in ((True, 2), (1.0, 2), (1, 2.0)):
+        assert Word(syms) == Word((1, 2)) and hash(Word(syms)) == hash(Word((1, 2)))
+        assert str(Word(syms)) == "p1p2"
+    assert str(Word([1, 2])) == "p1p2"
     for syms in ("12", (0,), (3,), (None,), (1, [2]), [1, 0], iter((1, 3))):
         with pytest.raises(ValueError, match=re.escape(f"word symbols must be 1 or 2: {syms!r}")):
             Word(syms)
