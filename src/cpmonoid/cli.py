@@ -23,7 +23,7 @@ from functools import cache
 from itertools import islice
 from typing import Sequence
 
-from .words import WORD_PATTERN, Word, ONE
+from .words import _SYMBOL_TEXT, WORD_PATTERN, Word, ONE
 from .tmagma import Leaf, Node, Tree, mul, power, sigma
 from .ucp import UElem, from_word, mul_U, power_U, reduce, sigma_U
 from .branch import beta
@@ -230,16 +230,17 @@ def _format_word(w: Word, pi: bool) -> str:
 
 def render_sexpr(t: Tree) -> str:
     parts: list[str] = []
-    stack: list = [t]  # trees still to write, and the text between them
+    # A subtree still to write, followed by ")" * closes + tail.  Counting the
+    # closers, rather than prepending one per level, keeps right combs linear.
+    stack: list[tuple[Tree, int, str]] = [(t, 0, "")]
     while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            parts.append(x)
-        elif isinstance(x, Leaf):
-            parts.append(str(x.color))
-        else:
+        x, closes, tail = stack.pop()
+        while type(x) is Node:  # the left spine, written inline
             parts.append("S(")
-            stack += (")", x.right, ",", x.left)
+            stack.append((x.right, closes + 1, tail))
+            x, closes, tail = x.left, 0, ","
+        syms = x.color.syms  # as Word.__str__ writes it
+        parts += ("".join(map(_SYMBOL_TEXT, syms)) if syms else "1", ")" * closes, tail)
     return "".join(parts)
 
 

@@ -115,9 +115,23 @@ def right_inverse(a: UElem) -> UElem | None:
 
 
 def is_unit(a: UElem) -> bool:
-    """Whether a is two-sided invertible: colors cofinite and independent."""
+    """Whether a is two-sided invertible: colors cofinite and independent.
+
+    Left independent colors form a suffix code, and such a code is left
+    cofinite exactly when it is complete, that is, when its Kraft sum
+    sum 2^(L-|c|) equals 2^L for L the longest color length.  Proof: the
+    words of length L that end in a color c are the 2^(L-|c|) words x·c,
+    and no word ends in two colors, since one would be a suffix of the
+    other.  So the sum counts the length-L words covered by some color,
+    each once, and it equals 2^L iff every one is covered, which is left
+    cofiniteness by the argument in family_left_cofinite.  Exact integers,
+    nothing enumerated.
+    """
     colors = leaf_colors(a.tree)
-    return not family_left_dependent(colors) and family_left_cofinite(colors)
+    if family_left_dependent(colors):
+        return False
+    bound = max(len(c) for c in colors)
+    return sum(1 << (bound - len(c)) for c in colors) == 1 << bound
 
 
 def unit_inverse(a: UElem) -> UElem:

@@ -67,11 +67,14 @@ def depth(a: Tree) -> int:
 
 
 def iter_leaves(a: Tree) -> Iterator[Leaf]:
-    if isinstance(a, Leaf):
-        yield a
-    else:
-        yield from iter_leaves(a.left)
-        yield from iter_leaves(a.right)
+    """Leaves left to right, walked with an explicit stack."""
+    stack = [a]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Leaf):
+            yield t
+        else:
+            stack += (t.right, t.left)
 
 
 def leaf_colors(a: Tree) -> list[Word]:
@@ -117,15 +120,13 @@ def leaf_listing(a: Tree) -> list[LeafEntry]:
     symbols read right to left retrace the root-to-leaf steps.
     """
     out: list[LeafEntry] = []
-
-    def walk(t: Tree, dirs: tuple[int, ...]) -> None:
+    stack: list[tuple[Tree, LeafAddress]] = [(a, ())]
+    while stack:
+        t, dirs = stack.pop()
         if isinstance(t, Leaf):
-            out.append(LeafEntry(dirs, Word(tuple(reversed(dirs))), t.color))
+            out.append(LeafEntry(dirs, Word(dirs[::-1]), t.color))
         else:
-            walk(t.left, dirs + (LEFT,))
-            walk(t.right, dirs + (RIGHT,))
-
-    walk(a, ())
+            stack += ((t.right, dirs + (RIGHT,)), (t.left, dirs + (LEFT,)))
     return out
 
 

@@ -126,14 +126,18 @@ def family_left_cofinite(family: Sequence[Word]) -> bool:
 def family_left_dependent(family: Sequence[Word]) -> bool:
     """True iff some member is a left multiple of another member.
 
-    Indices matter: a repeated word makes the family dependent.
+    Indices matter: a repeated word makes the family dependent.  Otherwise
+    the members are distinct, and c_i = x·c_j with i != j needs x != 1, so
+    c_j is a proper suffix of c_i: the family is dependent iff some member
+    lies in the set of the members' proper suffixes.  That set holds the
+    empty word whenever some member is non-empty, so the identity color is
+    a suffix of everything.
     """
-    members = tuple(family)
-    for i, wi in enumerate(members):
-        for j, wj in enumerate(members):
-            if i != j and is_left_multiple(wi, wj):
-                return True
-    return False
+    syms = [w.syms for w in family]
+    if len(set(syms)) < len(syms):
+        return True
+    proper = {s[k:] for s in syms for k in range(1, len(s) + 1)}
+    return not proper.isdisjoint(syms)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,16 +4,16 @@ The inverse-search oracles here decide existence of an inverse by searching
 the full candidate space of trees with bounded degree and color length.
 They depend only on mul/act/reduce semantics, never on the leaf-color
 family analysis they are used to cross-check.  The complete-tree inverse
-constructions, the removal-based minimal-cofiniteness check, the
-character-by-character expression parser and the all-triples monoid-table
-validator at the end are the library's earlier algorithms, kept to check
-the current ones against.
+constructions, the pairwise dependence test, the enumerated unit test, the
+removal-based minimal-cofiniteness check, the character-by-character
+expression parser and the all-triples monoid-table validator at the end are
+the library's earlier algorithms, kept to check the current ones against.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
 from cpmonoid.words import (
@@ -23,7 +23,6 @@ from cpmonoid.words import (
     Word,
     all_words,
     family_left_cofinite,
-    family_left_dependent,
     is_left_multiple,
     words_up_to,
 )
@@ -386,11 +385,76 @@ def right_inverse_complete(a: UElem) -> UElem | None:
     leaf colored v, and every other leaf the identity color.
     """
     colors = leaf_colors(a.tree)
-    if family_left_dependent(colors):
+    if family_left_dependent_pairwise(colors):
         return None
     d = max(len(c) for c in colors)
     table = {e.color: e.path for e in leaf_listing(_expand_colors_to(a.tree, d))}
     return reduce(_complete_tree(d, lambda v: table.get(v, ONE)))
+
+
+# ---------------------------------------------------------------------------
+# Pairwise dependence and the enumerated unit test
+#
+# family_left_dependent and is_unit as first written: every ordered pair of
+# members is tested for a suffix, and a unit's colors must cover all 2^L
+# words of the longest color length L.  The library now reads dependence off
+# the set of proper suffixes and units off the Kraft sum, and must agree.
+
+def family_left_dependent_pairwise(family) -> bool:
+    """True iff some member is a left multiple of another member.
+
+    Indices matter: a repeated word makes the family dependent.
+    """
+    members = tuple(family)
+    for i, wi in enumerate(members):
+        for j, wj in enumerate(members):
+            if i != j and is_left_multiple(wi, wj):
+                return True
+    return False
+
+
+def is_unit_enumerated(a: UElem) -> bool:
+    """Whether a is two-sided invertible: colors cofinite and independent."""
+    colors = leaf_colors(a.tree)
+    return not family_left_dependent_pairwise(colors) and family_left_cofinite(colors)
+
+
+def random_code_family(rng: random.Random, max_len: int) -> list[Word]:
+    """A complete suffix code with words up to max_len long, often perturbed.
+
+    Grown from {1} by replacing a word c with p1·c and p2·c, mostly the word
+    split last, so long words are common.  Then, on four rolls of five, one
+    word is dropped, repeated or lengthened on the left, or a random word is
+    added, which makes the code incomplete or dependent, or leaves it whole.
+    The family is never empty.
+    """
+    code: list[tuple[int, ...]] = [()]
+    last = 0
+    for _ in range(rng.randint(0, 3 * max_len)):
+        i = last if rng.random() < 0.6 else rng.randrange(len(code))
+        if len(code[i]) < max_len:
+            c = code[i]
+            code[i:i + 1] = [(G1,) + c, (G2,) + c]
+            last = i + rng.randrange(2)
+    family = [Word(c) for c in code]
+    roll = rng.randrange(5)
+    k = rng.randrange(len(family))
+    if roll == 0 and len(family) > 1:
+        del family[k]
+    elif roll == 1:
+        family.append(family[k])
+    elif roll == 2 and len(family[k]) < max_len:
+        family[k] = Word((rng.choice((G1, G2)),) + family[k].syms)
+    elif roll == 3:
+        family.append(random_word(rng, max_len))
+    rng.shuffle(family)
+    return family
+
+
+def small_families() -> list[tuple[Word, ...]]:
+    """All 3,876 families of at most 4 words of length <= 3, () first."""
+    pool = list(words_up_to(3))
+    return [f for size in range(5) for f in combinations_with_replacement(pool, size)]
 
 
 # ---------------------------------------------------------------------------

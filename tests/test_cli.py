@@ -11,7 +11,7 @@ import pytest
 
 from cpmonoid.words import ONE
 from cpmonoid.tmagma import ONE_T, power
-from cpmonoid.ucp import reduce
+from cpmonoid.ucp import ONE_U, mul_U, reduce
 from cpmonoid.cli import (
     ParseError,
     Power,
@@ -449,6 +449,43 @@ def test_deep_nesting(capsys, command, fmt):
     # in U, and after reduce, the innermost S(p1,p2) retracts to 1
     expected = _right_comb(fmt, n, "p2") if "T" in command else _right_comb(fmt, n - 1, "1")
     assert run_cli(capsys, command[0], comb, *command[1:], "--format", fmt) == (0, expected + "\n", "")
+
+
+COMB = 3_000
+# S(p1,S(p1,...S(p1,p2)...)): leaves p1 at paths p1p2^j, and p2 at p2^COMB.
+# In U the innermost S(p1,p2) retracts, leaving COMB leaves p1 and one 1.
+DEEP_COMB_RUNS = [
+    (("classify-colors",), 0, "cofinite: true\nindependent: false\n"
+     "minimally_cofinite: false\nmaximally_independent: false\n", ""),
+    (("beta",), 0, "{" + ", ".join([f"p1{'p2' * j}*p1" for j in range(COMB)]
+                                   + ["p2" * COMB + "*p2"]) + "}\n", ""),
+    (("inv", "--side", "left"), 0, "p2" * (COMB - 1) + "\n", ""),
+    (("inv", "--side", "right"), 1, "",
+     "error: no right inverse: leaf colors are not left independent\n"),
+    (("inv", "--side", "unit"), 1, "", "error: not a unit\n"),
+    (("order", "--max", "2"), 1, "", "error: not a unit\n"),
+]
+
+
+@pytest.mark.parametrize("command, code, out, err", DEEP_COMB_RUNS,
+                         ids=[" ".join(run[0]) for run in DEEP_COMB_RUNS])
+def test_deep_comb_leaf_walks(capsys, command, code, out, err):
+    # leaf listings and leaf colors walk with explicit stacks
+    comb = "S(p1," * COMB + "p2" + ")" * COMB
+    assert run_cli(capsys, command[0], comb, *command[1:]) == (code, out, err)
+
+
+def test_inv_unit_of_a_long_chain(capsys):
+    # the unit test reads the Kraft sum; enumerating 2^64 words never ends
+    k = 64
+    text = "p1" * k
+    for j in reversed(range(k)):
+        text = f"S(p2{'p1' * j},{text})"
+    code, out, err = run_cli(capsys, "inv", text, "--side", "unit")
+    assert (code, err) == (0, "")
+    element, inverse = eval_u(parse(text)), eval_u(parse(out))
+    assert inverse.degree == k + 1
+    assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
 
 
 def test_cli_golden_corpus(monkeypatch):

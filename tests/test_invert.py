@@ -14,7 +14,7 @@ from cpmonoid.words import (
 )
 from cpmonoid.tmagma import Leaf, Node, leaf_colors, leaf_listing
 from cpmonoid.ucp import ONE_U, expand, from_word, mul_U, reduce, sigma_U
-from cpmonoid.dcp import all_shapes, perm_hom
+from cpmonoid.dcp import all_shapes, left_comb, perm_hom
 from cpmonoid.invert import (
     has_left_inverse,
     has_right_inverse,
@@ -31,6 +31,8 @@ from helpers import (
     GROWING_UNIT,
     ORDER3_UNIT,
     enumerate_reduced_trees,
+    family_left_dependent_pairwise,
+    is_unit_enumerated,
     left_inverse_complete,
     minimally_cofinite_by_removal,
     oracle_left_invertible,
@@ -38,8 +40,11 @@ from helpers import (
     oracle_right_invertible,
     oracle_right_invertible_literal,
     oracle_unit,
+    random_code_family,
     random_tree,
     right_inverse_complete,
+    shape_to_tree,
+    small_families,
     t,
     w,
 )
@@ -185,6 +190,8 @@ def test_inverses_match_complete_tree_constructions():
         assert minimally_cofinite_by_removal(colors) == (flags.cofinite and flags.independent)
         assert is_unit(element) == flags.minimally_cofinite
         assert is_unit(element) == flags.maximally_independent
+        assert is_unit(element) == is_unit_enumerated(element)
+        assert flags.independent != family_left_dependent_pairwise(colors)
         assert left_inverse(element) == left_inverse_complete(element)
         expected = right_inverse_complete(element)
         constructed = right_inverse(element)
@@ -197,6 +204,34 @@ def test_inverses_match_complete_tree_constructions():
         if is_unit(element):
             assert unit_inverse(element) == expected
     assert changed > 0
+
+
+def test_is_unit_matches_enumeration():
+    # the Kraft sum against covering all 2^L words: every family of at most
+    # 4 words of length <= 3, and seeded random families up to 14 long
+    families = small_families()[1:]
+    rng = random.Random(1414)
+    families += [random_code_family(rng, rng.randint(1, 14)) for _ in range(600)]
+    units = 0
+    for family in families:
+        element = reduce(shape_to_tree(left_comb(len(family)), family))
+        verdict = is_unit(element)
+        assert verdict == is_unit_enumerated(element), family
+        units += verdict
+    assert units > 100 and len(families) - units > 1000  # both verdicts, often
+
+
+def test_units_of_degree_64():
+    # colors up to 64 long: the unit test reads the Kraft sum, and
+    # enumerating the 2^64 words of the longest color length never ends
+    g = list(range(1, 65))
+    random.Random(64).shuffle(g)
+    for element, degree in ((_chain_unit(64), 65), (perm_hom(left_comb(64), g), 64)):
+        assert element.degree == degree
+        assert is_unit(element)
+        inverse = unit_inverse(element)
+        assert inverse.degree == degree
+        assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
 
 
 def test_verdicts_stable_under_expansion():

@@ -1,5 +1,6 @@
 """Word arithmetic and the family analysis."""
 
+import random
 import re
 from itertools import combinations_with_replacement, permutations
 
@@ -20,7 +21,13 @@ from cpmonoid.words import (
     words_up_to,
 )
 
-from helpers import minimally_cofinite_by_removal, w
+from helpers import (
+    family_left_dependent_pairwise,
+    minimally_cofinite_by_removal,
+    random_code_family,
+    small_families,
+    w,
+)
 
 
 words_st = st.builds(
@@ -119,6 +126,16 @@ def test_dependence_is_permutation_invariant():
         base = family_left_dependent(family)
         for perm in permutations(family):
             assert family_left_dependent(list(perm)) == base
+
+
+def test_family_left_dependent_matches_pairwise_oracle():
+    # the proper-suffix set against every ordered pair of members
+    families = small_families()
+    assert len(families) == 3876
+    rng = random.Random(1729)
+    families += [random_code_family(rng, rng.randint(1, 14)) for _ in range(1000)]
+    for family in families:
+        assert family_left_dependent(family) == family_left_dependent_pairwise(family), family
 
 
 def _covers_all_of_length(family, length):
