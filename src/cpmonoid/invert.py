@@ -16,17 +16,16 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .words import (
-    ONE,
     P1,
     P2,
     Word,
-    all_words,
+    _suffix_trie,
     family_left_cofinite,
     family_left_dependent,
-    is_left_multiple,
 )
 from .tmagma import (
     LEFT,
+    ONE_T,
     Leaf,
     LeafEntry,
     Node,
@@ -46,56 +45,98 @@ def has_right_inverse(a: UElem) -> bool:
     return not family_left_dependent(leaf_colors(a.tree))
 
 
+def _covering_depth(colors: list[Word]) -> int | None:
+    """The least d such that every word of length d has a color as suffix.
+
+    None when there is no such d, that is, when the colors are not left
+    cofinite.  Read off the suffix trie of the colors: a word is covered
+    when some color is its suffix, and the uncovered trie vertices are
+    those with no color on the way down from the root.
+
+    Uncovered words are closed under suffixes.  If an uncovered vertex u
+    lacks a child x·u (x = p1 or p2), then every y·x·u is uncovered: a
+    color that is a suffix of it is a suffix of u, or ends in x·u, which
+    is no suffix of a color.  So infinitely many words are uncovered.
+    Otherwise every uncovered word w is a vertex: else its longest suffix
+    in the trie would be an uncovered vertex lacking a child.  The
+    uncovered words are then the uncovered vertices, and d is one more
+    than the longest of them; d = 0 when the identity is a color and
+    covers everything.
+    """
+    kids, first = _suffix_trie([c.syms for c in colors])
+    if first[0] >= 0:
+        return 0
+    longest, stack = 0, [(0, 0)]  # uncovered vertices and their lengths
+    while stack:
+        v, n = stack.pop()
+        longest = max(longest, n)
+        for child in kids[2 * v], kids[2 * v + 1]:
+            if not child:
+                return None
+            if first[child] < 0:
+                stack.append((child, n + 1))
+    return longest + 1
+
+
 def _inverse_tree(entries: list[LeafEntry], depth: int) -> Tree:
     """The inverse tree grown along the suffix trie of the leaf colors.
 
     Keeps each distinct color c of length <= depth with the path word z of
     its leftmost leaf.  The vertex at path word u is internal iff u is a
-    proper suffix of a kept color; otherwise it is a leaf colored x·z for
-    the longest kept color c with u = x·c, or 1 when no kept color ends u.
-    Expanding every leaf to the given depth yields the complete tree whose
-    leaf at path v = y·c (c longest) is colored y·z, so both reduce to the
-    same element, but this tree has one vertex per trie node, not 2^depth
-    leaves.
+    proper suffix of a kept color, that is, a trie vertex with a child;
+    otherwise it is a leaf colored x·z for the longest kept color c with
+    u = x·c, or 1 when no kept color ends u.  Expanding every leaf to the
+    given depth yields the complete tree whose leaf at path v = y·c (c
+    longest) is colored y·z, so both reduce to the same element, but this
+    tree has one vertex per trie node, not 2^depth leaves.  Built in
+    post-order with an explicit stack; each frame carries the deepest kept
+    color met on the way down.
     """
-    paths: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e in entries:
-        if len(e.color) <= depth:
-            paths.setdefault(e.color.syms, e.path.syms)
-    inner = {c[k:] for c in paths for k in range(1, len(c) + 1)}
-
-    def build(u: tuple[int, ...]) -> Tree:
-        if u in inner:
-            return Node(build((LEFT,) + u), build((RIGHT,) + u))
-        for k in range(len(u) + 1):  # longest kept suffix first
-            z = paths.get(u[k:])
-            if z is not None:
-                return Leaf(Word(u[:k] + z))
-        return Leaf(ONE)
-
-    return build(())
+    kept = [e for e in entries if len(e.color) <= depth]
+    kids, first = _suffix_trie([e.color.syms for e in kept])
+    out: list[Tree] = []
+    steps: list[int] = []  # from the root to the position being built
+    # A frame is (trie vertex or -1 off the trie, its length, its last step,
+    # the index of the deepest kept color on the way down or -1); None joins
+    # the last two finished subtrees.
+    todo: list = [(0, 0, 0, first[0])]
+    while todo:
+        frame = todo.pop()
+        if frame is None:
+            right = out.pop()
+            out[-1] = Node(out[-1], right)
+            continue
+        v, n, step, best = frame
+        if n:
+            del steps[n - 1:]
+            steps.append(step)
+        if v >= 0 and (kids[2 * v] or kids[2 * v + 1]):
+            todo.append(None)
+            for step, child in (RIGHT, kids[2 * v + 1]), (LEFT, kids[2 * v]):
+                deepest = first[child] if child and first[child] >= 0 else best
+                todo.append((child or -1, n + 1, step, deepest))
+        elif best < 0:
+            out.append(ONE_T)
+        else:  # x is the steps taken below the kept color, read back up
+            e = kept[best]
+            out.append(Leaf(Word(tuple(steps[len(e.color):][::-1]) + e.path.syms)))
+    return out[0]
 
 
 def left_inverse(b: UElem) -> UElem | None:
     """Construct some A with A·b = 1, or None when no left inverse exists.
 
-    Uses the smallest depth d at which every length-d word has a leaf color
-    of b as suffix.  The leaf of A at path v = y·x (x a leaf color, chosen
-    longest, ties to the leftmost leaf) is colored y·z, where z is the path
-    word of that leaf in b; acting by y·z on b then reproduces exactly v at
-    that position of the product.  A is built as the color trie cut at
-    depth d, which reduces to the same element as the complete depth-d tree.
+    Uses the covering depth d, the smallest at which every length-d word
+    has a leaf color of b as suffix, read off the colors' suffix trie.  The
+    leaf of A at path v = y·x (x a leaf color, chosen longest, ties to the
+    leftmost leaf) is colored y·z, where z is the path word of that leaf in
+    b; acting by y·z on b then reproduces exactly v at that position of the
+    product.  A is built as the color trie cut at depth d, which reduces to
+    the same element as the complete depth-d tree.
     """
     entries = leaf_listing(b.tree)
-    colors = [e.color for e in entries]
-    max_len = max(len(c) for c in colors)
-    for d in range(max_len + 1):
-        if all(
-            any(is_left_multiple(v, c) for c in colors) for v in all_words(d)
-        ):
-            break
-    else:
-        # Not covered at d = max_len: not left cofinite (see family_left_cofinite).
+    d = _covering_depth([e.color for e in entries])
+    if d is None:
         return None
     return reduce(_inverse_tree(entries, d))
 
@@ -135,15 +176,17 @@ def is_unit(a: UElem) -> bool:
 
 
 def unit_inverse(a: UElem) -> UElem:
-    """The two-sided inverse of a unit; both products are verified."""
+    """The two-sided inverse of a unit: the trie of all its colors.
+
+    A unit's colors are left independent, so this is right_inverse's B; as
+    a·B = 1 and a has a left inverse A, A = A·a·B = B, so B·a = 1 too.
+    """
     if not is_unit(a):
         raise ValueError(
             "not a unit: leaf colors must be left cofinite and left independent"
         )
-    inv = right_inverse(a)
-    if inv is None or mul_U(a, inv) != ONE_U or mul_U(inv, a) != ONE_U:
-        raise RuntimeError("unit inverse construction failed verification")
-    return inv
+    entries = leaf_listing(a.tree)
+    return reduce(_inverse_tree(entries, max(len(e.color) for e in entries)))
 
 
 def unit_order(a: UElem, bound: int) -> int | None:

@@ -61,9 +61,15 @@ def degree(a: Tree) -> int:
 
 
 def depth(a: Tree) -> int:
-    if isinstance(a, Leaf):
-        return 0
-    return 1 + max(depth(a.left), depth(a.right))
+    """Length of the longest root-to-leaf path, walked with an explicit stack."""
+    deepest, stack = 0, [(a, 0)]
+    while stack:
+        t, n = stack.pop()
+        if isinstance(t, Leaf):
+            deepest = max(deepest, n)
+        else:
+            stack += ((t.left, n + 1), (t.right, n + 1))
+    return deepest
 
 
 def iter_leaves(a: Tree) -> Iterator[Leaf]:

@@ -123,21 +123,45 @@ def family_left_cofinite(family: Sequence[Word]) -> bool:
     )
 
 
+def _suffix_trie(colors: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """The trie of the colors' suffixes, each color inserted right to left.
+
+    Vertex 0 is the root, the empty word; every other vertex is one distinct
+    suffix u of some color, and its children are p1·u and p2·u when those are
+    suffixes too.  So the trie has at most 1 + sum |c| vertices and is built
+    in that many steps.  Returns (kids, first): kids[2v] and kids[2v + 1] are
+    the p1 and p2 children of v, 0 when absent (the root is nobody's child);
+    first[v] is the index of the first color equal to v, or -1.
+    """
+    kids, first = [0, 0], [-1]
+    for i, c in enumerate(colors):
+        v = 0
+        for s in reversed(c):
+            k = 2 * v + (s != G1)
+            v = kids[k]
+            if not v:
+                v = kids[k] = len(first)
+                kids += (0, 0)
+                first.append(-1)
+        if first[v] < 0:
+            first[v] = i
+    return kids, first
+
+
 def family_left_dependent(family: Sequence[Word]) -> bool:
     """True iff some member is a left multiple of another member.
 
-    Indices matter: a repeated word makes the family dependent.  Otherwise
-    the members are distinct, and c_i = x·c_j with i != j needs x != 1, so
-    c_j is a proper suffix of c_i: the family is dependent iff some member
-    lies in the set of the members' proper suffixes.  That set holds the
-    empty word whenever some member is non-empty, so the identity color is
-    a suffix of everything.
+    Indices matter: a repeated word makes the family dependent.  Read off
+    the suffix trie of the members: c_i = x·c_j with i != j either has
+    x = 1, so two members end at the same vertex, or x != 1, so c_j is a
+    proper suffix of c_i and the vertex of c_j has a child.  The identity
+    member is the root, which has a child whenever another member is
+    non-empty, so the identity color is a suffix of everything.
     """
     syms = [w.syms for w in family]
-    if len(set(syms)) < len(syms):
-        return True
-    proper = {s[k:] for s in syms for k in range(1, len(s) + 1)}
-    return not proper.isdisjoint(syms)
+    kids, first = _suffix_trie(syms)
+    ends = [v for v, i in enumerate(first) if i >= 0]
+    return len(ends) < len(syms) or any(kids[2 * v] or kids[2 * v + 1] for v in ends)
 
 
 @dataclass(frozen=True, slots=True)

@@ -101,6 +101,19 @@ def random_uelem(rng: random.Random, max_degree: int, max_color_len: int = 3) ->
     return reduce(random_tree(rng, max_degree, max_color_len))
 
 
+def chain_unit(k: int) -> UElem:
+    """S(p2, S(p2p1, ... S(p2p1^(k-1), p1^k))): a unit of degree k + 1."""
+    tree = Leaf(Word((G1,) * k))
+    for j in reversed(range(k)):
+        tree = Node(Leaf(Word((G2,) + (G1,) * j)), tree)
+    return reduce(tree)
+
+
+def chain_text(k: int) -> str:
+    """chain_unit(k) written out for the CLI."""
+    return "".join(f"S(p2{'p1' * j}," for j in range(k)) + "p1" * k + ")" * k
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumerators
 
@@ -322,7 +335,8 @@ def oracle_unit(a: Tree, max_degree: int = 4, max_color_len: int = 3) -> bool:
 # covering depth, colored leaf by leaf from the element, then reduced.  They
 # build 2^d leaves and are kept only as oracles for the trie-shaped
 # constructions in cpmonoid.invert, which must give the same element for
-# left inverses and units.
+# left inverses and units.  The covering depth is found by the enumerating
+# search that left_inverse used before it read the depth off the suffix trie.
 
 def _complete_tree(depth: int, color_at) -> Tree:
     """Complete binary tree of the given depth, coloring leaves by path word."""
@@ -343,10 +357,8 @@ def left_inverse_complete(b: UElem) -> UElem | None:
     """
     entries = leaf_listing(b.tree)
     colors = [e.color for e in entries]
-    for d in range(max(len(c) for c in colors) + 1):
-        if all(any(is_left_multiple(v, c) for c in colors) for v in all_words(d)):
-            break
-    else:
+    d = covering_depth_enumerated(colors)
+    if d is None:
         return None
 
     def color_at(v: Word) -> Word:
@@ -359,6 +371,24 @@ def left_inverse_complete(b: UElem) -> UElem | None:
         return Word(v.syms[: len(v) - len(best.color)]) * best.path
 
     return reduce(_complete_tree(d, color_at))
+
+
+def covering_depth_enumerated(colors) -> int | None:
+    """The least d at which every length-d word has a color as suffix, or None.
+
+    The depth search of left_inverse as first written: every candidate depth
+    up to the longest color length, every word of that length.
+    """
+    max_len = max(len(c) for c in colors)
+    for d in range(max_len + 1):
+        if all(
+            any(is_left_multiple(v, c) for c in colors) for v in all_words(d)
+        ):
+            break
+    else:
+        # Not covered at d = max_len: not left cofinite (see family_left_cofinite).
+        return None
+    return d
 
 
 def _expand_colors_to(t: Tree, length: int) -> Tree:
@@ -398,7 +428,7 @@ def right_inverse_complete(a: UElem) -> UElem | None:
 # family_left_dependent and is_unit as first written: every ordered pair of
 # members is tested for a suffix, and a unit's colors must cover all 2^L
 # words of the longest color length L.  The library now reads dependence off
-# the set of proper suffixes and units off the Kraft sum, and must agree.
+# the colors' suffix trie and units off the Kraft sum, and must agree.
 
 def family_left_dependent_pairwise(family) -> bool:
     """True iff some member is a left multiple of another member.

@@ -27,7 +27,7 @@ from cpmonoid.cli import (
 )
 import cpmonoid.dcp as dcp
 
-from helpers import lf, parse_reference, random_tree, t, w
+from helpers import chain_text, lf, parse_reference, random_tree, t, w
 from make_cli_golden import load as load_golden, run_main
 
 
@@ -478,14 +478,26 @@ def test_deep_comb_leaf_walks(capsys, command, code, out, err):
 def test_inv_unit_of_a_long_chain(capsys):
     # the unit test reads the Kraft sum; enumerating 2^64 words never ends
     k = 64
-    text = "p1" * k
-    for j in reversed(range(k)):
-        text = f"S(p2{'p1' * j},{text})"
+    text = chain_text(k)
     code, out, err = run_cli(capsys, "inv", text, "--side", "unit")
     assert (code, err) == (0, "")
     element, inverse = eval_u(parse(text)), eval_u(parse(out))
     assert inverse.degree == k + 1
     assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
+
+
+@pytest.mark.parametrize("k", [300, 1_500])
+def test_inv_sides_of_a_deep_chain(capsys, k):
+    # the chain's colors are a complete suffix code, so all three sides give
+    # its trie; trie and inverse tree are built without a frame per level
+    text = chain_text(k)
+    runs = [run_cli(capsys, "inv", text, "--side", side) for side in ("left", "right", "unit")]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "") and runs == [runs[0]] * 3
+    if k <= 300:  # mul_U recurses once per level of its left operand
+        element, inverse = eval_u(parse(text)), eval_u(parse(out))
+        assert inverse.degree == k + 1
+        assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
 
 
 def test_cli_golden_corpus(monkeypatch):

@@ -12,10 +12,11 @@ from cpmonoid.words import (
     family_left_cofinite,
     family_left_dependent,
 )
-from cpmonoid.tmagma import Leaf, Node, leaf_colors, leaf_listing
+from cpmonoid.tmagma import leaf_colors, leaf_listing
 from cpmonoid.ucp import ONE_U, expand, from_word, mul_U, reduce, sigma_U
 from cpmonoid.dcp import all_shapes, left_comb, perm_hom
 from cpmonoid.invert import (
+    _covering_depth,
     has_left_inverse,
     has_right_inverse,
     is_unit,
@@ -30,6 +31,8 @@ from cpmonoid.invert import (
 from helpers import (
     GROWING_UNIT,
     ORDER3_UNIT,
+    chain_unit,
+    covering_depth_enumerated,
     enumerate_reduced_trees,
     family_left_dependent_pairwise,
     is_unit_enumerated,
@@ -163,29 +166,29 @@ def test_decision_procedures_match_brute_force_search():
     assert count == 7 + 46 + 644
 
 
-def _chain_unit(k: int):
-    # S(p2, S(p2p1, ... S(p2p1^(k-1), p1^k))): a unit of degree k + 1
-    tree = Leaf(P1**k)
-    for j in reversed(range(k)):
-        tree = Node(Leaf(P2 * P1**j), tree)
-    return reduce(tree)
-
-
 def _inverse_subjects():
     yield from (reduce(tree) for tree in enumerate_reduced_trees(4, 2))
     for d in range(1, 6):
         for shape in all_shapes(d):
             for g in permutations(range(1, d + 1)):
                 yield perm_hom(shape, g)
-    yield from (_chain_unit(k) for k in range(1, 11))
+    yield from (chain_unit(k) for k in range(1, 11))
+    # cofinite codes, often with a color added below another one: a left
+    # inverse then has leaves several steps below a kept color
+    rng = random.Random(5150)
+    for _ in range(1000):
+        family = random_code_family(rng, rng.randint(1, 6))
+        yield reduce(shape_to_tree(left_comb(len(family)), family))
 
 
 def test_inverses_match_complete_tree_constructions():
-    # the trie builder against the complete-tree oracles, and the unit
-    # decision against the removal-based family flags
+    # the trie builder against the complete-tree oracles, the unit decision
+    # against the removal-based family flags, and every unit inverse against
+    # both products
     changed = 0
     for element in _inverse_subjects():
         colors = leaf_colors(element.tree)
+        assert _covering_depth(colors) == covering_depth_enumerated(colors), element
         flags = family_classify(colors)
         assert minimally_cofinite_by_removal(colors) == (flags.cofinite and flags.independent)
         assert is_unit(element) == flags.minimally_cofinite
@@ -202,8 +205,30 @@ def test_inverses_match_complete_tree_constructions():
             assert constructed.degree <= expected.degree, element
             changed += constructed != expected
         if is_unit(element):
-            assert unit_inverse(element) == expected
+            inverse = unit_inverse(element)
+            assert inverse == expected
+            assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
     assert changed > 0
+
+
+def test_covering_depth_matches_enumeration():
+    # the suffix trie against the search over every word of each candidate
+    # depth: every family of at most 4 words of length <= 3, and seeded
+    # random families up to 14 long
+    families = small_families()
+    assert families[0] == () and len(families) == 3876
+    assert _covering_depth([]) is None  # the enumerated search needs a member
+    rng = random.Random(2718)
+    families = families[1:] + [
+        random_code_family(rng, rng.randint(1, 14)) for _ in range(1000)
+    ]
+    covered = 0
+    for family in families:
+        d = _covering_depth(family)
+        assert d == covering_depth_enumerated(family), family
+        assert (d is not None) == family_left_cofinite(family), family
+        covered += d is not None
+    assert covered > 500 and len(families) - covered > 1000  # both verdicts, often
 
 
 def test_is_unit_matches_enumeration():
@@ -226,12 +251,25 @@ def test_units_of_degree_64():
     # enumerating the 2^64 words of the longest color length never ends
     g = list(range(1, 65))
     random.Random(64).shuffle(g)
-    for element, degree in ((_chain_unit(64), 65), (perm_hom(left_comb(64), g), 64)):
+    for element, degree in ((chain_unit(64), 65), (perm_hom(left_comb(64), g), 64)):
         assert element.degree == degree
         assert is_unit(element)
         inverse = unit_inverse(element)
         assert inverse.degree == degree
         assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
+
+
+def test_left_inverses_of_degree_64():
+    # the covering depth is read off the suffix trie; searching the 2^d words
+    # of each candidate depth d never ends at d = 64.  S(a, a) repeats every
+    # color, so it is left but not right invertible
+    g = list(range(1, 65))
+    random.Random(64).shuffle(g)
+    for a, degree in ((chain_unit(64), 65), (perm_hom(left_comb(64), g), 64)):
+        for element in (a, sigma_U(a, a)):
+            inverse = left_inverse(element)
+            assert inverse.degree == degree
+            assert mul_U(inverse, element) == ONE_U
 
 
 def test_verdicts_stable_under_expansion():
@@ -263,7 +301,8 @@ def test_units_form_a_group():
         for v in units[:20]:
             assert is_unit(mul_U(u, v))
     for u in units:
-        inverse = unit_inverse(u)  # verifies u·inv = inv·u = 1 internally
+        inverse = unit_inverse(u)
+        assert mul_U(u, inverse) == ONE_U and mul_U(inverse, u) == ONE_U
         assert is_unit(inverse)
 
 

@@ -49,6 +49,16 @@ def test_sigma_matches_pairing():
     assert depth(ONE_T) == 0
 
 
+def test_depth_of_deep_combs():
+    # walked with an explicit stack: a recursive walk fails long before 10^4
+    n = 10_000
+    left, right = ONE_T, ONE_T
+    for _ in range(n):
+        left, right = Node(left, ONE_T), Node(ONE_T, right)
+    assert depth(left) == depth(right) == n
+    assert depth(Node(left, Node(ONE_T, ONE_T))) == n + 1
+
+
 @given(trees_st, trees_st)
 def test_sigma_degree_additive(a, b):
     assert degree(sigma(a, b)) == degree(a) + degree(b)

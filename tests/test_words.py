@@ -129,13 +129,28 @@ def test_dependence_is_permutation_invariant():
 
 
 def test_family_left_dependent_matches_pairwise_oracle():
-    # the proper-suffix set against every ordered pair of members
+    # the suffix trie against every ordered pair of members
     families = small_families()
     assert len(families) == 3876
     rng = random.Random(1729)
     families += [random_code_family(rng, rng.randint(1, 14)) for _ in range(1000)]
     for family in families:
         assert family_left_dependent(family) == family_left_dependent_pairwise(family), family
+
+
+def test_family_left_dependent_trie_edge_cases():
+    # a repeated word ends twice at one trie vertex; the identity is the
+    # root, a suffix of every other member
+    cases = [
+        ([w("p1p2"), P2, w("p1p2")], True),
+        ([ONE], False),
+        ([ONE, ONE], True),
+        ([ONE, w("p2p1")], True),
+        ([P1, P2, ONE], True),
+    ]
+    for family, dependent in cases:
+        assert family_left_dependent(family) == dependent, family
+        assert family_left_dependent_pairwise(family) == dependent, family
 
 
 def _covers_all_of_length(family, length):
