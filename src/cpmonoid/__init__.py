@@ -15,7 +15,6 @@ from .words import (
     P2,
     Word,
     all_words,
-    concat,
     family_classify,
     family_left_cofinite,
     family_left_dependent,
@@ -81,16 +80,11 @@ from .invert import (
 )
 from .dcp import (
     FiniteMonoid,
-    LEAF_SHAPE,
-    Shape,
-    ShapeLeaf,
-    ShapeNode,
     TableViolation,
     all_shapes,
     combine,
     embed_finite_monoid,
     endo_antihom,
-    leaf_count,
     left_comb,
     perm_hom,
     phi,
@@ -100,7 +94,7 @@ from .dcp import (
 
 __all__ = [
     # words
-    "Word", "ONE", "P1", "P2", "concat", "is_left_multiple", "all_words",
+    "Word", "ONE", "P1", "P2", "is_left_multiple", "all_words",
     "words_up_to", "family_left_cofinite", "family_left_dependent",
     "family_classify", "FamilyClassification",
     # trees
@@ -119,9 +113,8 @@ __all__ = [
     "is_unit", "unit_inverse", "unit_order", "TransportedStructure",
     "transport", "transport_roundtrip",
     # d-fold structures
-    "Shape", "ShapeLeaf", "ShapeNode", "LEAF_SHAPE", "leaf_count", "left_comb",
-    "all_shapes", "shape_taus", "phi", "combine", "endo_antihom", "perm_hom",
-    "FiniteMonoid", "TableViolation", "validate_finite_monoid",
+    "left_comb", "all_shapes", "shape_taus", "phi", "combine", "endo_antihom",
+    "perm_hom", "FiniteMonoid", "TableViolation", "validate_finite_monoid",
     "embed_finite_monoid",
 ]
 

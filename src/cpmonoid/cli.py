@@ -18,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from typing import Sequence
@@ -33,32 +32,11 @@ from . import dcp, tmagma, ucp, words
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax and parser
+# Parser: text to a postfix program
 
-@dataclass(frozen=True, slots=True)
-class WordLit:
-    word: Word
-
-
-@dataclass(frozen=True, slots=True)
-class SigmaApp:
-    left: "TermExpr"
-    right: "TermExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class Product:
-    left: "TermExpr"
-    right: "TermExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class Power:
-    base: "TermExpr"
-    exponent: int
-
-
-TermExpr = WordLit | SigmaApp | Product | Power
+# The two binary operations of a postfix program (see parse).
+SIGMA = "S"
+PRODUCT = "*"
 
 
 class ParseError(Exception):
@@ -81,6 +59,11 @@ _TOKEN = re.compile(rf"{WORD_PATTERN}|[0-9]+|\S")
 _FACTOR_EXPECTED = ("'1'", "a word", "'S('", "'('")
 
 
+def _numeral(tok: str) -> str:
+    """A numeral without leading zeros, as text: int() limits its length."""
+    return tok.lstrip("0") or "0"
+
+
 def _error(text: str, toks: list[str], i: int, expected: Sequence[str],
            found: str | None = None) -> ParseError:
     """The error at token i; its position is found only now, by rescanning."""
@@ -90,12 +73,18 @@ def _error(text: str, toks: list[str], i: int, expected: Sequence[str],
         pos = next(islice(_TOKEN.finditer(text), i, None)).start()
     if found is None:
         tok = toks[i]
-        found = "end of input" if not tok else repr(str(int(tok)) if tok[0].isdigit() else tok)
+        found = "end of input" if not tok else repr(_numeral(tok) if tok[0].isdigit() else tok)
     return ParseError(pos, expected, found)
 
 
-def parse(text: str) -> TermExpr:
-    """Parse an expression of the grammar above into its syntax tree.
+def parse(text: str) -> list:
+    """Parse an expression of the grammar above into a postfix program.
+
+    The program lists the operations in the order they apply: a ``Word``
+    pushes that word (``ONE`` for the numeral 1), an ``int`` n >= 1 raises
+    the top value to the n-th power, and ``SIGMA`` or ``PRODUCT`` pops two
+    values and pushes their pairing or product.  So ``(p1 p2)^2`` gives
+    ``[p1, p2, PRODUCT, 2]``.
 
     A lexical error (a character no token starts with) wins over a syntax
     error before it.  The tokens are plain strings from one regex pass;
@@ -111,12 +100,13 @@ def parse(text: str) -> TermExpr:
     toks = _TOKEN.findall(text)
     toks.append("")  # end of input
     words: dict[str, Word] = {}  # one Word per distinct word text
+    program: list = []
     i = 0  # toks[i] is the next token
     # Each pass reads a primary and its powers, then closes every bracket the
     # next token ends. Open brackets, innermost last, are
-    # [its first token, the enclosing term so far, the first argument of S].
+    # [its first token, the enclosing bracket's flag, whether "," was seen].
     opened: list[list] = []
-    term: TermExpr | None = None  # the term so far inside the innermost bracket
+    term = False  # whether the innermost bracket has a factor yet
     while True:
         tok = toks[i]
         if tok == "S" or tok == "(":
@@ -125,18 +115,18 @@ def parse(text: str) -> TermExpr:
                 if toks[i] != "(":
                     raise _error(text, toks, i, ("'('",))
                 i += 1
-            opened.append([tok, term, None])
-            term = None
+            opened.append([tok, term, False])
+            term = False
             continue
         if tok[:1] == "p":
             word = words.get(tok)
             if word is None:
                 word = words[tok] = Word(tuple(map(int, tok[1::2])))
-            expr = WordLit(word)
+            program.append(word)
         elif tok[:1].isdigit():
-            if int(tok) != 1:
-                raise _error(text, toks, i, _FACTOR_EXPECTED, str(int(tok)))
-            expr = WordLit(ONE)
+            if _numeral(tok) != "1":
+                raise _error(text, toks, i, _FACTOR_EXPECTED, _numeral(tok))
+            program.append(ONE)
         else:  # the error lists every way a primary can start
             raise _error(text, toks, i, _FACTOR_EXPECTED)
         i += 1
@@ -145,12 +135,18 @@ def parse(text: str) -> TermExpr:
                 i += 1
                 if not toks[i][:1].isdigit():
                     raise _error(text, toks, i, ("a positive integer",))
-                n = int(toks[i])
-                if n < 1:
-                    raise _error(text, toks, i, ("a positive integer",), str(n))
+                digits = _numeral(toks[i])
+                if digits == "0":
+                    raise _error(text, toks, i, ("a positive integer",), digits)
+                try:
+                    program.append(int(digits))
+                except ValueError:  # more digits than int() converts
+                    most = sys.get_int_max_str_digits()
+                    raise _error(text, toks, i, (f"at most {most} digits",)) from None
                 i += 1
-                expr = Power(expr, n)
-            term = expr if term is None else Product(term, expr)
+            if term:
+                program.append(PRODUCT)
+            term = True
             # after a factor, only these end the term; anything else is "*" or a factor
             tok = toks[i]
             if tok != ")" and tok != "," and tok:
@@ -160,27 +156,32 @@ def parse(text: str) -> TermExpr:
             if not opened:
                 if tok:
                     raise _error(text, toks, i, ("end of input",))
-                return term
+                return program
             bracket = opened[-1]
-            if bracket[0] == "S" and bracket[2] is None:
+            if bracket[0] == "S" and not bracket[2]:
                 if tok != ",":
                     raise _error(text, toks, i, ("','",))
                 i += 1
-                bracket[2], term = term, None
+                bracket[2], term = True, False
                 break
             if tok != ")":
                 raise _error(text, toks, i, ("')'",))
             i += 1
-            first, outer, left = opened.pop()
-            expr = SigmaApp(left, term) if first == "S" else term
-            term = outer
+            first, term, _ = opened.pop()
+            if first == "S":
+                program.append(SIGMA)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_expr(e: TermExpr, mode: str) -> Tree | UElem:
-    """Evaluate in the tree monoid ("T") or the quotient monoid ("U")."""
+def eval_expr(program: list, mode: str) -> Tree | UElem:
+    """Evaluate in the tree monoid ("T") or the quotient monoid ("U").
+
+    One pass over the postfix program from ``parse`` with one stack of
+    values: a ``Word`` pushes its leaf, an ``int`` n raises the top value to
+    the n-th power, and ``SIGMA`` or ``PRODUCT`` combines the top two.
+    """
     # Looked up on every call, not bound once at import, so that a caller
     # that replaces these module attributes (a tracer, say) sees every call.
     if mode == "T":
@@ -191,34 +192,28 @@ def eval_expr(e: TermExpr, mode: str) -> Tree | UElem:
         raise ValueError(f"unknown mode {mode!r}")
 
     values: list = []
-    stack: list = [e]  # terms to evaluate, and the operations that combine their values
-    while stack:
-        x = stack.pop()
-        kind = type(x)
-        if kind is WordLit:
-            values.append(leaf(x.word))
-        elif kind is SigmaApp:
-            stack += (pair, x.right, x.left)
-        elif kind is Product:
-            stack += (product, x.right, x.left)
-        elif kind is Power:
-            stack += (x.exponent, x.base)
-        elif kind is int:
+    for x in program:
+        if x is SIGMA:
+            right = values.pop()
+            values[-1] = pair(values[-1], right)
+        elif x is PRODUCT:
+            right = values.pop()
+            values[-1] = product(values[-1], right)
+        elif type(x) is int:
             values[-1] = pow_(values[-1], x)
         else:
-            right = values.pop()
-            values[-1] = x(values[-1], right)
+            values.append(leaf(x))
     return values[0]
 
 
-def eval_t(e: TermExpr) -> Tree:
+def eval_t(program: list) -> Tree:
     """Evaluate without reduction."""
-    return eval_expr(e, "T")
+    return eval_expr(program, "T")
 
 
-def eval_u(e: TermExpr) -> UElem:
+def eval_u(program: list) -> UElem:
     """Evaluate, reducing after every operation."""
-    return eval_expr(e, "U")
+    return eval_expr(program, "U")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +384,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.table}: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    # JSON text is UTF-8; the decoder recurses once per level of nesting
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: invalid JSON in {args.table}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -20,40 +20,32 @@ from .words import Word
 from .tmagma import Leaf, Node, ONE_T, Tree, degree, leaf_listing
 from .ucp import UElem, from_word, mul_U, ONE_U, reduce
 
-# A shape is an ordinary tree; these names keep the shape vocabulary.
-Shape = Tree
-ShapeLeaf = Leaf
-ShapeNode = Node
-LEAF_SHAPE = ONE_T
-leaf_count = degree
-
-
-def left_comb(d: int) -> Shape:
+def left_comb(d: int) -> Tree:
     """The shape nesting to the left: comb(d) = (comb(d-1), leaf)."""
     if d < 1:
         raise ValueError("a shape needs at least one leaf")
-    shape: Shape = LEAF_SHAPE
+    shape: Tree = ONE_T
     for _ in range(d - 1):
-        shape = Node(shape, LEAF_SHAPE)
+        shape = Node(shape, ONE_T)
     return shape
 
 
-def _balanced_shape(d: int) -> Shape:
+def _balanced_shape(d: int) -> Tree:
     """ceil(d/2) leaves on the left and floor(d/2) on the right, at every node.
 
     Its depth is ceil(log2 d), and for d <= 3 it is the left comb.
     """
     if d == 1:
-        return LEAF_SHAPE
+        return ONE_T
     return Node(_balanced_shape((d + 1) // 2), _balanced_shape(d // 2))
 
 
-def all_shapes(d: int) -> Iterator[Shape]:
+def all_shapes(d: int) -> Iterator[Tree]:
     """All shapes with exactly d leaves, left split sizes ascending."""
     if d < 1:
         raise ValueError("a shape needs at least one leaf")
     if d == 1:
-        yield LEAF_SHAPE
+        yield ONE_T
         return
     for k in range(1, d):
         for left in all_shapes(k):
@@ -61,12 +53,12 @@ def all_shapes(d: int) -> Iterator[Shape]:
                 yield Node(left, right)
 
 
-def shape_taus(s: Shape) -> list[Word]:
+def shape_taus(s: Tree) -> list[Word]:
     """Distinguished elements: the path words of the leaves, left to right."""
     return [entry.path for entry in leaf_listing(s)]
 
 
-def _graft(s: Shape, trees: Sequence[Tree], needs: str) -> Tree:
+def _graft(s: Tree, trees: Sequence[Tree], needs: str) -> Tree:
     """Replace the i-th leaf of the shape with the i-th tree."""
     it = iter(trees)
 
@@ -85,7 +77,7 @@ def _graft(s: Shape, trees: Sequence[Tree], needs: str) -> Tree:
     return grafted
 
 
-def phi(s: Shape, ms: Sequence[UElem]) -> UElem:
+def phi(s: Tree, ms: Sequence[UElem]) -> UElem:
     """The d-ary pairing: nest the binary pairing along the shape.
 
     Reducing once after grafting equals reducing at every pairing, because
@@ -95,7 +87,7 @@ def phi(s: Shape, ms: Sequence[UElem]) -> UElem:
     return reduce(_graft(s, trees, "phi needs {} arguments for this shape"))
 
 
-def combine(outer: Shape, inners: Sequence[Shape]) -> Shape:
+def combine(outer: Tree, inners: Sequence[Tree]) -> Tree:
     """Graft the i-th inner shape onto the i-th leaf of the outer shape.
 
     The combined distinguished elements are the inner path words extended
@@ -109,7 +101,7 @@ def _check_map(f: Sequence[int], d: int) -> None:
         raise ValueError(f"expected a self-map of {{1..{d}}} as a length-{d} sequence")
 
 
-def endo_antihom(s: Shape, f: Sequence[int]) -> UElem:
+def endo_antihom(s: Tree, f: Sequence[int]) -> UElem:
     """Image of a self-map of {1..d}: the pairing of tau_f(1), ..., tau_f(d).
 
     Injective, sends the identity map to 1, and reverses composition.
@@ -120,7 +112,7 @@ def endo_antihom(s: Shape, f: Sequence[int]) -> UElem:
     return phi(s, [from_word(taus[v - 1]) for v in f])
 
 
-def perm_hom(s: Shape, sigma: Sequence[int]) -> UElem:
+def perm_hom(s: Tree, sigma: Sequence[int]) -> UElem:
     """Image of a permutation of {1..d}: the antihomomorphism of its inverse.
 
     Multiplicative in the permutation, and every image is a unit.

@@ -83,9 +83,6 @@ P1 = Word((G1,))
 P2 = Word((G2,))
 
 
-concat = Word.__mul__
-
-
 def is_left_multiple(y: Word, w: Word) -> bool:
     """True iff y = x·w for some word x, i.e. w is a suffix of y."""
     n = len(w.syms)

@@ -40,13 +40,11 @@ from cpmonoid.tmagma import (
 from cpmonoid.ucp import ONE_U, UElem, is_reduced, reduce
 from cpmonoid.dcp import (
     FiniteMonoid,
-    Shape,
-    ShapeLeaf,
     TableViolation,
     all_shapes,
     shape_taus,
 )
-from cpmonoid.cli import ParseError, Power, Product, SigmaApp, TermExpr, WordLit
+from cpmonoid.cli import PRODUCT, SIGMA, ParseError
 
 
 def w(text: str) -> Word:
@@ -117,11 +115,11 @@ def chain_text(k: int) -> str:
 # ---------------------------------------------------------------------------
 # Exhaustive enumerators
 
-def shape_to_tree(shape: Shape, colors) -> Tree:
+def shape_to_tree(shape: Tree, colors) -> Tree:
     it = iter(colors)
 
-    def build(sh: Shape) -> Tree:
-        if isinstance(sh, ShapeLeaf):
+    def build(sh: Tree) -> Tree:
+        if isinstance(sh, Leaf):
             return Leaf(next(it))
         return Node(build(sh.left), build(sh.right))
 
@@ -196,7 +194,7 @@ def reduce_randomized(tree: Tree, rng: random.Random) -> Tree:
 # below exploit only that reduction fact; small-bound literal searches in
 # the test suite confirm they match candidate-by-candidate enumeration.
 
-def shape_path_words(shape: Shape) -> list[Word]:
+def shape_path_words(shape: Tree) -> list[Word]:
     return shape_taus(shape)
 
 
@@ -269,12 +267,12 @@ def _solve_slots(shape, constraints, max_color_len):
         cur = shape
         addr: tuple[int, ...] = ()
         i = len(c.syms) - 1
-        while i >= 0 and not isinstance(cur, ShapeLeaf):
+        while i >= 0 and not isinstance(cur, Leaf):
             step = c.syms[i]
             addr = addr + (step,)
             cur = cur.left if step == LEFT else cur.right
             i -= 1
-        if isinstance(cur, ShapeLeaf) and i >= 0:
+        if isinstance(cur, Leaf) and i >= 0:
             # exited at a slot with prefix c[:i+1] unconsumed
             y = c.syms[: i + 1]
             p = path_word.syms
@@ -297,7 +295,7 @@ def _shape_addresses(shape) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def walk(sh, addr):
-        if isinstance(sh, ShapeLeaf):
+        if isinstance(sh, Leaf):
             out.append(addr)
         else:
             walk(sh.left, addr + (LEFT,))
@@ -510,8 +508,8 @@ def minimally_cofinite_by_removal(family) -> bool:
 # The CLI front end as first written: a lexer that walks the text one
 # character at a time into tokens, and a recursive-descent parser class.
 # It is kept only as the oracle for cpmonoid.cli.parse, which must give the
-# same tree or the same ParseError on every text without non-ASCII digits
-# (this lexer reads any str.isdigit() character as a digit).
+# same postfix program or the same ParseError on every text without non-ASCII
+# digits (this lexer reads any str.isdigit() character as a digit).
 
 class _Token(NamedTuple):
     kind: str  # WORD NUMBER SIGMA LPAREN RPAREN COMMA STAR CARET END
@@ -564,6 +562,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.program: list = []  # postfix, as cpmonoid.cli.parse returns it
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -585,61 +584,59 @@ class _Parser:
             return "end of input"
         return repr(str(tok.value))
 
-    def term(self) -> TermExpr:
-        expr = self.factor()
+    def term(self) -> None:
+        self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "STAR":
                 self.advance()
-                expr = Product(expr, self.factor())
-            elif tok.kind in _FACTOR_STARTERS:
-                expr = Product(expr, self.factor())
-            else:
-                return expr
+            elif tok.kind not in _FACTOR_STARTERS:
+                return
+            self.factor()
+            self.program.append(PRODUCT)
 
-    def factor(self) -> TermExpr:
-        expr = self.primary()
+    def factor(self) -> None:
+        self.primary()
         while self.peek().kind == "CARET":
             self.advance()
             tok = self.expect("NUMBER", "a positive integer")
             if tok.value < 1:
                 raise ParseError(tok.pos, ["a positive integer"], str(tok.value))
-            expr = Power(expr, tok.value)
-        return expr
+            self.program.append(tok.value)
 
-    def primary(self) -> TermExpr:
+    def primary(self) -> None:
         tok = self.peek()
         if tok.kind == "NUMBER":
             if tok.value != 1:
                 raise ParseError(tok.pos, list(_FACTOR_EXPECTED), str(tok.value))
             self.advance()
-            return WordLit(ONE)
-        if tok.kind == "WORD":
+            self.program.append(ONE)
+        elif tok.kind == "WORD":
             self.advance()
-            return WordLit(tok.value)
-        if tok.kind == "SIGMA":
+            self.program.append(tok.value)
+        elif tok.kind == "SIGMA":
             self.advance()
             self.expect("LPAREN", "'('")
-            left = self.term()
+            self.term()
             self.expect("COMMA", "','")
-            right = self.term()
+            self.term()
             self.expect("RPAREN", "')'")
-            return SigmaApp(left, right)
-        if tok.kind == "LPAREN":
+            self.program.append(SIGMA)
+        elif tok.kind == "LPAREN":
             self.advance()
-            inner = self.term()
+            self.term()
             self.expect("RPAREN", "')'")
-            return inner
-        raise ParseError(tok.pos, list(_FACTOR_EXPECTED), self._describe(tok))
+        else:
+            raise ParseError(tok.pos, list(_FACTOR_EXPECTED), self._describe(tok))
 
 
-def parse_reference(text: str) -> TermExpr:
+def parse_reference(text: str) -> list:
     parser = _Parser(_lex(text))
-    expr = parser.term()
+    parser.term()
     tok = parser.peek()
     if tok.kind != "END":
         raise ParseError(tok.pos, ["end of input"], _Parser._describe(tok))
-    return expr
+    return parser.program
 
 
 # ---------------------------------------------------------------------------

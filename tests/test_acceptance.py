@@ -26,7 +26,7 @@ from cpmonoid.words import (
     family_left_dependent,
     words_up_to,
 )
-from cpmonoid.tmagma import Leaf, Node, mul, sigma
+from cpmonoid.tmagma import ONE_T, Leaf, Node, mul, sigma
 from cpmonoid.branch import IDENTITY_S, beta, set_mul, sigma_S, BranchSet, BranchTerm
 from cpmonoid.ucp import (
     ONE_U,
@@ -47,8 +47,6 @@ from cpmonoid.invert import (
     unit_order,
 )
 from cpmonoid.dcp import (
-    LEAF_SHAPE,
-    ShapeNode,
     all_shapes,
     embed_finite_monoid,
     endo_antihom,
@@ -115,8 +113,8 @@ def test_criterion_1_worked_examples():
         (("p1", "p1p2"), "p2p2")
     )
 
-    left_comb3 = ShapeNode(ShapeNode(LEAF_SHAPE, LEAF_SHAPE), LEAF_SHAPE)
-    right_comb3 = ShapeNode(LEAF_SHAPE, ShapeNode(LEAF_SHAPE, LEAF_SHAPE))
+    left_comb3 = Node(Node(ONE_T, ONE_T), ONE_T)
+    right_comb3 = Node(ONE_T, Node(ONE_T, ONE_T))
     assert shape_taus(left_comb3) == [w("p1p1"), w("p2p1"), w("p2")]
     assert shape_taus(right_comb3) == [w("p1"), w("p1p2"), w("p2p2")]
 
@@ -306,7 +304,7 @@ def test_criterion_7_embeddings():
                     composed = tuple(g[f[i] - 1] for i in range(d))
                     assert mul_U(images[f], images[g]) == images[composed]
 
-    left_comb3 = ShapeNode(ShapeNode(LEAF_SHAPE, LEAF_SHAPE), LEAF_SHAPE)
+    left_comb3 = Node(Node(ONE_T, ONE_T), ONE_T)
     perms = list(permutations((1, 2, 3)))
     psi = {p: perm_hom(left_comb3, p) for p in perms}
     for p in perms:
@@ -344,7 +342,7 @@ def test_criterion_7_embeddings():
 @criterion(8, "order of S(S(p2,p1p1),p2p1) is exactly 3 (3-cycle image)")
 def test_criterion_8_as_stated():
     element = reduce(ORDER3_UNIT)
-    left_comb3 = ShapeNode(ShapeNode(LEAF_SHAPE, LEAF_SHAPE), LEAF_SHAPE)
+    left_comb3 = Node(Node(ONE_T, ONE_T), ONE_T)
     assert perm_hom(left_comb3, (2, 3, 1)) == element
     assert unit_order(element, 50) == 3
     powers = [ONE_U]

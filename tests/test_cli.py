@@ -13,11 +13,9 @@ from cpmonoid.words import ONE
 from cpmonoid.tmagma import ONE_T, power
 from cpmonoid.ucp import ONE_U, mul_U, reduce
 from cpmonoid.cli import (
+    PRODUCT,
+    SIGMA,
     ParseError,
-    Power,
-    Product,
-    SigmaApp,
-    WordLit,
     eval_expr,
     eval_t,
     eval_u,
@@ -36,15 +34,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_parse_examples():
-    assert parse("S(p1,p2)") == SigmaApp(WordLit(w("p1")), WordLit(w("p2")))
-    expr = parse("S(S(p2,p1p1),p2p1) * S(p2,p1)")
-    assert isinstance(expr, Product)
-    assert expr.left == SigmaApp(
-        SigmaApp(WordLit(w("p2")), WordLit(w("p1p1"))), WordLit(w("p2p1"))
-    )
-    assert parse("1") == WordLit(ONE)
-    assert parse("p1 ^ 3") == Power(WordLit(w("p1")), 3)
-    assert parse("(p1 p2)^2") == Power(Product(WordLit(w("p1")), WordLit(w("p2"))), 2)
+    p1, p2 = w("p1"), w("p2")
+    assert parse("S(p1,p2)") == [p1, p2, SIGMA]
+    assert parse("S(S(p2,p1p1),p2p1) * S(p2,p1)") == [
+        p2, w("p1p1"), SIGMA, w("p2p1"), SIGMA, p2, p1, SIGMA, PRODUCT,
+    ]
+    assert parse("1") == [ONE]
+    assert parse("p1 ^ 3") == [p1, 3]
+    assert parse("(p1 p2)^2") == [p1, p2, PRODUCT, 2]
 
 
 def test_parse_errors_carry_position_and_expectations():
@@ -125,8 +122,8 @@ def _parse_outcome(parser, text):
 
 
 def test_parse_matches_reference_parser():
-    # the regex tokenizer and parse functions against the character lexer
-    # and parser class they replaced: same tree, or same error triple
+    # the regex tokenizer and parse loop against the character lexer and
+    # parser class they replaced: same postfix program, or same error triple
     rng = random.Random(1618)
     texts = ["".join(rng.choices(PARSE_ALPHABET, k=rng.randint(0, 14))) for _ in range(12_000)]
     grammatical = [_random_expr_text(rng, 4) for _ in range(8_000)]
@@ -156,8 +153,7 @@ def test_parse_error_positions_match_reference_parser():
         outcome = _parse_outcome(parse, text)
         assert isinstance(outcome, tuple), text
         assert outcome == _parse_outcome(parse_reference, text), text
-    short = run[:800]  # a product 200 deep: == on syntax trees recurses
-    for text in ("p1^007", "p1 ^ 01 ^ 2", short + "p1", "(" * 50 + short + ")" * 50):
+    for text in ("p1^007", "p1 ^ 01 ^ 2", run + "p1", "(" * 50 + run + ")" * 50):
         assert parse(text) == parse_reference(text), text
 
 
@@ -383,6 +379,40 @@ def test_cmd_parse_error_exit_code(capsys):
     for text in ("S(p1", "p1^²", "p1^١", "١"):
         code, out, err = run_cli(capsys, "eval", text)
         assert code == 2 and out == "" and "syntax error" in err
+
+
+LONG = 5_000  # digits, past the interpreter's 4,300-digit int-string limit
+
+
+@pytest.mark.parametrize("long, short", [
+    ("p1 " + "2" * LONG, "p1 22"),
+    ("p1^" + "0" * (LONG + 1), "p1^00"),
+    ("p1^" + "9" * LONG, None),  # its short form parses
+], ids=["primary", "zero-exponent", "exponent"])
+def test_cmd_long_numerals_are_parse_errors(capsys, long, short):
+    # numerals are compared and shown as text; only an exponent is converted
+    code, out, err = run_cli(capsys, "eval", long)
+    assert (code, out) == (2, "") and err.startswith("error: syntax error at position 3")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    if short is None:  # converted after its leading zeros are stripped
+        assert parse("p1^" + "0" * LONG + "3") == [w("p1"), 3]
+        return
+    with pytest.raises(ParseError) as long_exc:
+        parse(long)
+    with pytest.raises(ParseError) as short_exc:
+        parse(short)
+    assert long_exc.value.expected == short_exc.value.expected
+    assert long_exc.value.found == (long[3:].lstrip("0") or "0")
+
+
+@pytest.mark.parametrize("key", [None, "elements"])
+def test_cmd_embed_rejects_deeply_nested_json(tmp_path, capsys, key):
+    nested = "[" * 100_000 + "]" * 100_000
+    table = tmp_path / "nested.json"
+    table.write_text(nested if key is None else f'{{"{key}": {nested}}}')
+    code, out, err = run_cli(capsys, "embed", str(table))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: invalid JSON in {table}: ") and err.count("\n") == 1
 
 
 def test_cmd_embed_validates_once(monkeypatch, capsys):

@@ -8,18 +8,15 @@ from pathlib import Path
 import pytest
 
 from cpmonoid.words import ONE
-from cpmonoid.tmagma import depth
+from cpmonoid.tmagma import ONE_T, Node, degree, depth
 from cpmonoid.ucp import ONE_U, from_word, mul_U
 from cpmonoid.invert import is_unit, unit_order
 from cpmonoid.dcp import (
     FiniteMonoid,
-    LEAF_SHAPE,
-    ShapeNode,
     all_shapes,
     combine,
     embed_finite_monoid,
     endo_antihom,
-    leaf_count,
     perm_hom,
     phi,
     shape_taus,
@@ -44,8 +41,8 @@ from helpers import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-LEFT_COMB_3 = ShapeNode(ShapeNode(LEAF_SHAPE, LEAF_SHAPE), LEAF_SHAPE)
-RIGHT_COMB_3 = ShapeNode(LEAF_SHAPE, ShapeNode(LEAF_SHAPE, LEAF_SHAPE))
+LEFT_COMB_3 = Node(Node(ONE_T, ONE_T), ONE_T)
+RIGHT_COMB_3 = Node(ONE_T, Node(ONE_T, ONE_T))
 
 
 def load_fixture(name: str) -> FiniteMonoid:
@@ -56,7 +53,7 @@ def load_fixture(name: str) -> FiniteMonoid:
 def test_shape_taus_three_fold_structures():
     assert shape_taus(LEFT_COMB_3) == [w("p1p1"), w("p2p1"), w("p2")]
     assert shape_taus(RIGHT_COMB_3) == [w("p1"), w("p1p2"), w("p2p2")]
-    assert shape_taus(LEAF_SHAPE) == [ONE]
+    assert shape_taus(ONE_T) == [ONE]
 
 
 def test_shape_taus_distinct_and_maximally_independent():
@@ -75,7 +72,7 @@ def test_phi_examples():
     for shape in (LEFT_COMB_3, RIGHT_COMB_3):
         taus = [from_word(word) for word in shape_taus(shape)]
         assert phi(shape, taus) == ONE_U
-    two = ShapeNode(LEAF_SHAPE, LEAF_SHAPE)
+    two = Node(ONE_T, ONE_T)
     a, b = from_word(w("p1p2")), from_word(w("p2"))
     from cpmonoid.ucp import sigma_U
 
@@ -101,10 +98,10 @@ def test_phi_extraction_and_right_translation():
 
 
 def test_combine_examples():
-    two = ShapeNode(LEAF_SHAPE, LEAF_SHAPE)
-    assert combine(two, [LEAF_SHAPE, LEAF_SHAPE]) == two
-    assert combine(two, [two, LEAF_SHAPE]) == LEFT_COMB_3
-    assert shape_taus(combine(two, [two, LEAF_SHAPE])) == [
+    two = Node(ONE_T, ONE_T)
+    assert combine(two, [ONE_T, ONE_T]) == two
+    assert combine(two, [two, ONE_T]) == LEFT_COMB_3
+    assert shape_taus(combine(two, [two, ONE_T])) == [
         w("p1p1"),
         w("p2p1"),
         w("p2"),
@@ -120,10 +117,10 @@ def test_combine_tau_formula_and_iteration():
         outer = rng.choice(list(all_shapes(rng.randint(1, 3))))
         inners = [
             rng.choice(list(all_shapes(rng.randint(1, 3))))
-            for _ in range(leaf_count(outer))
+            for _ in range(degree(outer))
         ]
         combined = combine(outer, inners)
-        assert leaf_count(combined) == sum(leaf_count(i) for i in inners)
+        assert degree(combined) == sum(degree(i) for i in inners)
         rhos = shape_taus(outer)
         expected = [
             tau * rho
@@ -132,24 +129,24 @@ def test_combine_tau_formula_and_iteration():
         ]
         assert shape_taus(combined) == expected
     # iterating the construction reaches every leaf count
-    shape = LEAF_SHAPE
+    shape = ONE_T
     for e in range(2, 8):
         shape = combine(
-            ShapeNode(LEAF_SHAPE, LEAF_SHAPE), [shape, LEAF_SHAPE]
+            Node(ONE_T, ONE_T), [shape, ONE_T]
         )
-        assert leaf_count(shape) == e
+        assert degree(shape) == e
 
 
 def test_combine_coherent_with_phi():
     rng = random.Random(23)
-    two = ShapeNode(LEAF_SHAPE, LEAF_SHAPE)
+    two = Node(ONE_T, ONE_T)
     for _ in range(20):
         inners = [
             rng.choice(list(all_shapes(rng.randint(1, 3)))) for _ in range(2)
         ]
         combined = combine(two, inners)
         blocks = [
-            [random_uelem(rng, 2, 2) for _ in range(leaf_count(inner))]
+            [random_uelem(rng, 2, 2) for _ in range(degree(inner))]
             for inner in inners
         ]
         flat = [m for block in blocks for m in block]
@@ -158,7 +155,7 @@ def test_combine_coherent_with_phi():
 
 
 def test_endo_antihom_examples():
-    two = ShapeNode(LEAF_SHAPE, LEAF_SHAPE)
+    two = Node(ONE_T, ONE_T)
     assert endo_antihom(two, (1, 2)) == ONE_U
     assert endo_antihom(two, (1, 1)).tree == t(("p1", "p1"))
     with pytest.raises(ValueError):
@@ -191,7 +188,7 @@ def test_endo_antihom_antimultiplicative_random_d4():
 
 
 def test_perm_hom_examples():
-    two = ShapeNode(LEAF_SHAPE, LEAF_SHAPE)
+    two = Node(ONE_T, ONE_T)
     assert perm_hom(two, (1, 2)) == ONE_U
     assert perm_hom(two, (2, 1)).tree == t(("p2", "p1"))
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpmonoid.words import P1, P2, Word, all_words, concat
+from cpmonoid.words import P1, P2, Word, all_words
 from cpmonoid.tmagma import Leaf, Node, ONE_T, degree, leaf_listing, mul, sigma
 from cpmonoid.ucp import (
     ONE_U,
@@ -98,7 +98,7 @@ def test_confluence_randomized_small():
         if rng.random() < 0.5:
             word = Word(tuple(rng.choices((1, 2), k=rng.randint(0, 2))))
             tree = Node(
-                tree, Node(Leaf(concat(P1, word)), Leaf(concat(P2, word)))
+                tree, Node(Leaf(P1 * word), Leaf(P2 * word))
             )
         normal = reduce(tree).tree
         assert is_reduced(normal)
@@ -152,8 +152,8 @@ def test_mul_U_worked_examples():
 
 def test_sigma_U_degree_drop():
     word = w("p2p1")
-    left = from_word(concat(P1, word))
-    right = from_word(concat(P2, word))
+    left = from_word(P1 * word)
+    right = from_word(P2 * word)
     assert sigma_U(left, right) == from_word(word)
     # wrong order does not retract
     assert sigma_U(right, left).tree == Node(right.tree, left.tree)

@@ -13,7 +13,6 @@ from cpmonoid.words import (
     P2,
     Word,
     all_words,
-    concat,
     family_classify,
     family_left_cofinite,
     family_left_dependent,
@@ -36,20 +35,20 @@ words_st = st.builds(
 
 
 def test_concat_examples():
-    assert concat(P1, P2) == w("p1p2")
-    assert concat(ONE, w("p2p1")) == w("p2p1")
-    assert concat(w("p2p1"), w("p2p2")) == w("p2p1p2p2")
+    assert P1 * P2 == w("p1p2")
+    assert ONE * w("p2p1") == w("p2p1")
+    assert w("p2p1") * w("p2p2") == w("p2p1p2p2")
 
 
 @given(words_st, words_st)
 def test_concat_length_additive(u, v):
-    assert len(concat(u, v)) == len(u) + len(v)
+    assert len(u * v) == len(u) + len(v)
 
 
 @given(words_st, words_st, words_st)
 def test_concat_associative_identity(u, v, x):
-    assert concat(concat(u, v), x) == concat(u, concat(v, x))
-    assert concat(u, ONE) == u == concat(ONE, u)
+    assert (u * v) * x == u * (v * x)
+    assert u * ONE == u == ONE * u
 
 
 def test_word_parsing_and_printing():
@@ -90,7 +89,7 @@ def test_is_left_multiple_examples():
 def test_is_left_multiple_against_naive_search(y, word):
     # definitional oracle: some x with y = x·w
     naive = any(
-        concat(x, word) == y for x in words_up_to(len(y))
+        x * word == y for x in words_up_to(len(y))
     )
     assert is_left_multiple(y, word) == naive
 
