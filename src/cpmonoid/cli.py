@@ -27,7 +27,7 @@ from .tmagma import Leaf, Node, Tree, mul, power, sigma
 from .ucp import UElem, from_word, mul_U, power_U, reduce, sigma_U
 from .branch import beta
 from .dcp import FiniteMonoid, all_shapes, phi, shape_taus
-from .invert import is_unit, left_inverse, right_inverse, unit_inverse, unit_order
+from .invert import left_inverse, right_inverse, unit_inverse, unit_order
 from . import dcp, tmagma, ucp, words
 
 
@@ -346,10 +346,12 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_inv(args: argparse.Namespace) -> int:
     element = eval_u(parse(args.expr))
     if args.side == "unit":
-        if not is_unit(element):
+        try:
+            inverse = unit_inverse(element)
+        except ValueError:
             print("error: not a unit", file=sys.stderr)
             return 1
-        print(render_sexpr(unit_inverse(element).tree))
+        print(render_sexpr(inverse.tree))
         return 0
     result = left_inverse(element) if args.side == "left" else right_inverse(element)
     if result is None:
@@ -369,10 +371,11 @@ def _cmd_order(args: argparse.Namespace) -> int:
         print("error: --max must be a positive integer", file=sys.stderr)
         return 2
     element = eval_u(parse(args.expr))
-    if not is_unit(element):
+    try:
+        n = unit_order(element, args.max)
+    except ValueError:  # --max is positive, so a is not a unit
         print("error: not a unit", file=sys.stderr)
         return 1
-    n = unit_order(element, args.max)
     print(f"order exceeds {args.max}" if n is None else str(n))
     return 0
 

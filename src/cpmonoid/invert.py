@@ -3,11 +3,11 @@
 An element has a left inverse exactly when its family of leaf colors is
 left cofinite, and a right inverse exactly when the family is left
 independent; both verdicts are independent of the chosen representative.
-An inverse is read off the suffix trie of the leaf colors, so its size is
-that of the trie rather than 2^d for the longest color length d.  Units
-are the elements whose color family satisfies both conditions at once,
-and every pair (f, g) with f·g = 1 transports the pairing structure to a
-new one.
+Units are the elements whose color family satisfies both conditions at
+once.  Every verdict and every inverse is read off the suffix trie of the
+leaf colors, so no word is enumerated, and an inverse has the size of the
+trie rather than 2^d for the longest color length d.  Every pair (f, g)
+with f·g = 1 transports the pairing structure to a new one.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .words import (
     P1,
     P2,
     Word,
+    _covering_depth,
     _suffix_trie,
-    family_left_cofinite,
     family_left_dependent,
 )
 from .tmagma import (
@@ -38,44 +38,11 @@ from .ucp import ONE_U, UElem, from_word, mul_U, reduce, sigma_U
 
 
 def has_left_inverse(b: UElem) -> bool:
-    return family_left_cofinite(leaf_colors(b.tree))
+    return _covering_depth(leaf_colors(b.tree)) is not None
 
 
 def has_right_inverse(a: UElem) -> bool:
     return not family_left_dependent(leaf_colors(a.tree))
-
-
-def _covering_depth(colors: list[Word]) -> int | None:
-    """The least d such that every word of length d has a color as suffix.
-
-    None when there is no such d, that is, when the colors are not left
-    cofinite.  Read off the suffix trie of the colors: a word is covered
-    when some color is its suffix, and the uncovered trie vertices are
-    those with no color on the way down from the root.
-
-    Uncovered words are closed under suffixes.  If an uncovered vertex u
-    lacks a child x·u (x = p1 or p2), then every y·x·u is uncovered: a
-    color that is a suffix of it is a suffix of u, or ends in x·u, which
-    is no suffix of a color.  So infinitely many words are uncovered.
-    Otherwise every uncovered word w is a vertex: else its longest suffix
-    in the trie would be an uncovered vertex lacking a child.  The
-    uncovered words are then the uncovered vertices, and d is one more
-    than the longest of them; d = 0 when the identity is a color and
-    covers everything.
-    """
-    kids, first = _suffix_trie([c.syms for c in colors])
-    if first[0] >= 0:
-        return 0
-    longest, stack = 0, [(0, 0)]  # uncovered vertices and their lengths
-    while stack:
-        v, n = stack.pop()
-        longest = max(longest, n)
-        for child in kids[2 * v], kids[2 * v + 1]:
-            if not child:
-                return None
-            if first[child] < 0:
-                stack.append((child, n + 1))
-    return longest + 1
 
 
 def _inverse_tree(entries: list[LeafEntry], depth: int) -> Tree:
@@ -158,21 +125,11 @@ def right_inverse(a: UElem) -> UElem | None:
 def is_unit(a: UElem) -> bool:
     """Whether a is two-sided invertible: colors cofinite and independent.
 
-    Left independent colors form a suffix code, and such a code is left
-    cofinite exactly when it is complete, that is, when its Kraft sum
-    sum 2^(L-|c|) equals 2^L for L the longest color length.  Proof: the
-    words of length L that end in a color c are the 2^(L-|c|) words x·c,
-    and no word ends in two colors, since one would be a suffix of the
-    other.  So the sum counts the length-L words covered by some color,
-    each once, and it equals 2^L iff every one is covered, which is left
-    cofiniteness by the argument in family_left_cofinite.  Exact integers,
-    nothing enumerated.
+    Both halves are read off the suffix trie of the leaf colors, as the
+    inverse builder reads them; no word is enumerated.
     """
     colors = leaf_colors(a.tree)
-    if family_left_dependent(colors):
-        return False
-    bound = max(len(c) for c in colors)
-    return sum(1 << (bound - len(c)) for c in colors) == 1 << bound
+    return not family_left_dependent(colors) and _covering_depth(colors) is not None
 
 
 def unit_inverse(a: UElem) -> UElem:
@@ -185,8 +142,7 @@ def unit_inverse(a: UElem) -> UElem:
         raise ValueError(
             "not a unit: leaf colors must be left cofinite and left independent"
         )
-    entries = leaf_listing(a.tree)
-    return reduce(_inverse_tree(entries, max(len(e.color) for e in entries)))
+    return right_inverse(a)
 
 
 def unit_order(a: UElem, bound: int) -> int | None:

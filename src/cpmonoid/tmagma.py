@@ -150,11 +150,16 @@ def right_inverse_T(a: Tree) -> Tree | None:
 
     Only degree-1 trees have one (the product can never shrink the leaf
     count): a leaf colored by a word of length d is cancelled by the d-th
-    power of the pairing of two identity leaves.
+    power of the pairing of two identity leaves, the complete depth-d tree
+    of identity leaves.  Built with both children of each node shared, so
+    in d steps rather than 2^d.
     """
     if isinstance(a, Node):
         return None
-    return power(Node(ONE_T, ONE_T), len(a.color))
+    inverse: Tree = ONE_T
+    for _ in a.color.syms:
+        inverse = Node(inverse, inverse)
+    return inverse
 
 
 def left_inverse_T(a: Tree) -> Word | None:

@@ -161,6 +161,39 @@ def family_left_dependent(family: Sequence[Word]) -> bool:
     return len(ends) < len(syms) or any(kids[2 * v] or kids[2 * v + 1] for v in ends)
 
 
+def _covering_depth(colors: list[Word]) -> int | None:
+    """The least d such that every word of length d has a color as suffix.
+
+    None when there is no such d, that is, when the colors are not left
+    cofinite.  Read off the suffix trie of the colors: a word is covered
+    when some color is its suffix, and the uncovered trie vertices are
+    those with no color on the way down from the root.
+
+    Uncovered words are closed under suffixes.  If an uncovered vertex u
+    lacks a child x·u (x = p1 or p2), then every y·x·u is uncovered: a
+    color that is a suffix of it is a suffix of u, or ends in x·u, which
+    is no suffix of a color.  So infinitely many words are uncovered.
+    Otherwise every uncovered word w is a vertex: else its longest suffix
+    in the trie would be an uncovered vertex lacking a child.  The
+    uncovered words are then the uncovered vertices, and d is one more
+    than the longest of them; d = 0 when the identity is a color and
+    covers everything.
+    """
+    kids, first = _suffix_trie([c.syms for c in colors])
+    if first[0] >= 0:
+        return 0
+    longest, stack = 0, [(0, 0)]  # uncovered vertices and their lengths
+    while stack:
+        v, n = stack.pop()
+        longest = max(longest, n)
+        for child in kids[2 * v], kids[2 * v + 1]:
+            if not child:
+                return None
+            if first[child] < 0:
+                stack.append((child, n + 1))
+    return longest + 1
+
+
 @dataclass(frozen=True, slots=True)
 class FamilyClassification:
     cofinite: bool

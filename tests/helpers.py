@@ -425,8 +425,8 @@ def right_inverse_complete(a: UElem) -> UElem | None:
 #
 # family_left_dependent and is_unit as first written: every ordered pair of
 # members is tested for a suffix, and a unit's colors must cover all 2^L
-# words of the longest color length L.  The library now reads dependence off
-# the colors' suffix trie and units off the Kraft sum, and must agree.
+# words of the longest color length L.  The library now reads dependence and
+# cofiniteness off the colors' suffix trie, and must agree.
 
 def family_left_dependent_pairwise(family) -> bool:
     """True iff some member is a left multiple of another member.

@@ -506,7 +506,7 @@ def test_deep_comb_leaf_walks(capsys, command, code, out, err):
 
 
 def test_inv_unit_of_a_long_chain(capsys):
-    # the unit test reads the Kraft sum; enumerating 2^64 words never ends
+    # the unit test reads the suffix trie; enumerating 2^64 words never ends
     k = 64
     text = chain_text(k)
     code, out, err = run_cli(capsys, "inv", text, "--side", "unit")

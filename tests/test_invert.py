@@ -8,6 +8,7 @@ import pytest
 from cpmonoid.words import (
     P1,
     P2,
+    _covering_depth,
     family_classify,
     family_left_cofinite,
     family_left_dependent,
@@ -16,7 +17,6 @@ from cpmonoid.tmagma import leaf_colors, leaf_listing
 from cpmonoid.ucp import ONE_U, expand, from_word, mul_U, reduce, sigma_U
 from cpmonoid.dcp import all_shapes, left_comb, perm_hom
 from cpmonoid.invert import (
-    _covering_depth,
     has_left_inverse,
     has_right_inverse,
     is_unit,
@@ -182,15 +182,16 @@ def _inverse_subjects():
 
 
 def test_inverses_match_complete_tree_constructions():
-    # the trie builder against the complete-tree oracles, the unit decision
-    # against the removal-based family flags, and every unit inverse against
-    # both products
+    # the trie builder against the complete-tree oracles, the left and unit
+    # decisions against the enumerated and removal-based family flags, and
+    # every unit inverse against both products
     changed = 0
     for element in _inverse_subjects():
         colors = leaf_colors(element.tree)
         assert _covering_depth(colors) == covering_depth_enumerated(colors), element
         flags = family_classify(colors)
         assert minimally_cofinite_by_removal(colors) == (flags.cofinite and flags.independent)
+        assert has_left_inverse(element) == flags.cofinite
         assert is_unit(element) == flags.minimally_cofinite
         assert is_unit(element) == flags.maximally_independent
         assert is_unit(element) == is_unit_enumerated(element)
@@ -232,8 +233,8 @@ def test_covering_depth_matches_enumeration():
 
 
 def test_is_unit_matches_enumeration():
-    # the Kraft sum against covering all 2^L words: every family of at most
-    # 4 words of length <= 3, and seeded random families up to 14 long
+    # the suffix trie against covering all 2^L words: every family of at
+    # most 4 words of length <= 3, and seeded random families up to 14 long
     families = small_families()[1:]
     rng = random.Random(1414)
     families += [random_code_family(rng, rng.randint(1, 14)) for _ in range(600)]
@@ -247,7 +248,7 @@ def test_is_unit_matches_enumeration():
 
 
 def test_units_of_degree_64():
-    # colors up to 64 long: the unit test reads the Kraft sum, and
+    # colors up to 64 long: the unit test reads the suffix trie, and
     # enumerating the 2^64 words of the longest color length never ends
     g = list(range(1, 65))
     random.Random(64).shuffle(g)
@@ -257,6 +258,16 @@ def test_units_of_degree_64():
         inverse = unit_inverse(element)
         assert inverse.degree == degree
         assert mul_U(element, inverse) == ONE_U and mul_U(inverse, element) == ONE_U
+
+
+def test_has_left_inverse_of_degree_64():
+    # the covering depth decides; enumerating 2^64 words never ends.  Every
+    # color of a·p1p2 ends in p1p2, so no word ending in p2p2 is covered
+    g = list(range(1, 65))
+    random.Random(64).shuffle(g)
+    for a in chain_unit(64), perm_hom(left_comb(64), g):
+        assert has_left_inverse(a) and has_left_inverse(sigma_U(a, a))
+        assert not has_left_inverse(mul_U(a, from_word(P1 * P2)))
 
 
 def test_left_inverses_of_degree_64():

@@ -173,6 +173,12 @@ def test_right_inverse_T():
         assert mul(lf(word), inv) == ONE_T
 
 
+def test_right_inverse_T_of_a_long_word():
+    # built in d steps; degree and == would still walk all 2^200 leaves
+    word = Word(tuple(random.Random(200).choice((1, 2)) for _ in range(200)))
+    assert act(word, right_inverse_T(Leaf(word))) == ONE_T
+
+
 def test_left_inverse_T():
     assert left_inverse_T(t(("p2", "1"))) == P2
     assert left_inverse_T(lf("p1")) is None
